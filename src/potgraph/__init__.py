@@ -31,10 +31,8 @@ from .graphs import (
     PatternGraph,
     contains_subgraph,
     degree_sequence_of,
-    disjoint_union,
     find_embedding,
     havel_hakimi_realize,
-    merge_vertices,
     pattern_k6_c5,
 )
 from .oracle import (
@@ -46,7 +44,6 @@ from .oracle import (
     check_strategy_agreement,
     enumerate_realizations,
     oracle_potentially,
-    sigma_empirical,
 )
 from .sequences import (
     DegreeSequence,
@@ -61,6 +58,7 @@ from .survey import (
     cross_validate,
     emit_report,
     enumerate_graphic_sequences,
+    sigma_empirical,
 )
 
 __version__ = "0.1.0"
@@ -92,7 +90,6 @@ __all__ = [
     "decompose_form",
     "default_catalog",
     "degree_sequence_of",
-    "disjoint_union",
     "emit_report",
     "enumerate_graphic_sequences",
     "enumerate_realizations",
@@ -106,7 +103,6 @@ __all__ = [
     "layoff",
     "lemma_family_decide",
     "load_catalog",
-    "merge_vertices",
     "oracle_potentially",
     "parse_sequence",
     "pattern_k6_c5",

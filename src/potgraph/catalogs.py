@@ -74,10 +74,6 @@ class ExceptionCatalog:
             },
         )
 
-    @property
-    def set_S(self) -> tuple[DegreeSequence, ...]:
-        return self.set_s
-
     def in_set_s(self, seq: DegreeSequence) -> bool:
         return seq.terms in self._set_s_keys
 

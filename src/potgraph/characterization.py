@@ -157,7 +157,8 @@ def theorem31_decide(
     (n >= i+1) AND (j >= 2 or j = 0) AND (d1 >= i+j) to the other reading of
     its comma list, ((n >= i+1 and j >= 2) OR (j = 0 and d1 >= i+j)); the two
     are extensionally equivalent (the bound cannot be violated when d1 < i+j
-    because d1+d2 <= 2(i+j)-2 < n+i+j-2), and surveys log any divergence.
+    because d1+d2 <= 2(i+j)-2 < n+i+j-2), and the test suite checks that
+    they agree on every graphic sequence with 6 <= n <= 10.
 
     Raises:
         DomainError: n < 6, zero terms, or seq not graphic.

@@ -5,8 +5,7 @@ discrepancy (or internal inconsistency), 4 oracle budget exhausted. Every
 error is a single machine-parsable ``error: <reason>`` line on stderr.
 
 Environment: POTGRAPH_BUDGET (default node budget), POTGRAPH_CATALOG
-(catalog directory), POTGRAPH_JOBS (survey workers), POTGRAPH_KERNEL
-(kernel selection, read at import).
+(catalog directory), POTGRAPH_JOBS (survey workers).
 """
 
 from __future__ import annotations
@@ -28,15 +27,9 @@ from .errors import (
     StrategyDisagreementError,
 )
 from .graphs import havel_hakimi_realize
-from .oracle import (
-    DEFAULT_BUDGET,
-    STRATEGIES,
-    STRATEGY_EMBED,
-    oracle_potentially,
-    sigma_empirical,
-)
+from .oracle import DEFAULT_BUDGET, STRATEGIES, STRATEGY_EMBED, oracle_potentially
 from .sequences import is_graphic_eg, is_graphic_kw, parse_sequence
-from .survey import cross_validate, emit_report
+from .survey import cross_validate, emit_report, sigma_empirical
 
 __all__ = ["build_parser", "run_cli", "main"]
 
@@ -229,7 +222,7 @@ def _cmd_survey(args, catalog, budget) -> int:
 
 
 def _cmd_sigma(args, catalog, budget) -> int:
-    print(sigma_empirical(args.n, None, budget, args.strategy))
+    print(sigma_empirical(args.n, budget, args.strategy))
     return EXIT_OK
 
 

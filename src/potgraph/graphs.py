@@ -25,8 +25,6 @@ __all__ = [
     "havel_hakimi_realize",
     "find_embedding",
     "contains_subgraph",
-    "disjoint_union",
-    "merge_vertices",
 ]
 
 MAX_VERTICES = 64
@@ -109,14 +107,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.rows) // 2
-
-    def with_edge(self, u: int, v: int) -> "Graph":
-        if u == v:
-            raise DomainError("cannot add a loop")
-        rows = list(self.rows)
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-        return Graph(self.n, tuple(rows))
 
     def to_text(self) -> str:
         """Serialize: a "n=<order>" header then one "u v" line per edge."""
@@ -257,59 +247,3 @@ def find_embedding(
 def contains_subgraph(host: Graph, pattern: Union[Graph, PatternGraph]) -> bool:
     """Does host contain pattern as a (not necessarily induced) subgraph?"""
     return find_embedding(host, pattern) is not None
-
-
-def disjoint_union(a: Graph, b: Graph) -> Graph:
-    """Disjoint union; b's vertices are shifted up by a.n."""
-    if a.n + b.n > MAX_VERTICES:
-        raise DomainError(f"union would exceed {MAX_VERTICES} vertices")
-    rows = list(a.rows) + [row << a.n for row in b.rows]
-    return Graph(a.n + b.n, tuple(rows))
-
-
-def merge_vertices(g: Graph, u: int, v: int) -> Graph:
-    """Identify u and v into one vertex adjacent to both neighborhoods.
-
-    Requires u and v non-adjacent with no common neighbor, so the merged
-    vertex's degree is deg(u)+deg(v) and the edge count is preserved. The
-    merged vertex keeps u's index; vertices above v shift down by one.
-
-    Raises:
-        DomainError: u == v, out of range, adjacent, or sharing a neighbor.
-    """
-    n = g.n
-    if not (0 <= u < n and 0 <= v < n) or u == v:
-        raise DomainError(f"cannot merge vertices {u} and {v}")
-    if g.has_edge(u, v):
-        raise DomainError(f"vertices {u} and {v} are adjacent; merging would make a loop")
-    if g.rows[u] & g.rows[v]:
-        raise DomainError(
-            f"vertices {u} and {v} share a neighbor; merging would make a multi-edge"
-        )
-    keep = [w for w in range(n) if w != v]
-    newindex = {old: new for new, old in enumerate(keep)}
-    rows = [0] * (n - 1)
-    for old in keep:
-        src = g.rows[old] | (g.rows[v] if old == u else 0)
-        src &= ~(1 << v)
-        src &= ~(1 << old)
-        row = 0
-        while src:
-            w = (src & -src).bit_length() - 1
-            src &= src - 1
-            row |= 1 << newindex[w]
-        rows[newindex[old]] = row
-    # the merged vertex appears in its old neighbors' rows under v's index;
-    # rebuilding rows from scratch above already remapped those bits, but the
-    # neighbors of v must now point at u's new index
-    merged = newindex[u]
-    for w_old in _bits(g.rows[v]):
-        rows[newindex[w_old]] |= 1 << merged
-    return Graph(n - 1, tuple(rows))
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask &= mask - 1

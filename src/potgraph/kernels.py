@@ -1,33 +1,20 @@
 """Kernel selection: compiled extension when available, pure Python otherwise.
 
-``POTGRAPH_KERNEL=c`` forces the compiled kernel (ImportError if it was not
-built), ``POTGRAPH_KERNEL=py`` forces the pure-Python twin, and ``auto`` (the
-default) prefers the compiled one. Both implement the contract documented in
-``_kernels_py``; node counts, visit order and witnesses are identical, so no
-output of this package depends on which kernel is active.
+Both implement the contract documented in ``_kernels_py``; node counts, visit
+order and witnesses are identical, so no output of this package depends on
+which kernel is active. ``implementation`` names the one in use.
 """
 
 from __future__ import annotations
-
-import os
 
 from . import _kernels_py
 
 __all__ = ["implementation", "search", "find_embedding", "MAX_SEARCH_VERTICES"]
 
-_choice = os.environ.get("POTGRAPH_KERNEL", "auto").strip().lower()
-if _choice not in {"auto", "c", "py"}:
-    raise ValueError(f"POTGRAPH_KERNEL must be auto, c or py, not {_choice!r}")
-
-if _choice == "py":
+try:
+    from . import _kernels_c as _impl  # type: ignore[no-redef]
+except ImportError:
     _impl = _kernels_py
-else:
-    try:
-        from . import _kernels_c as _impl  # type: ignore[no-redef]
-    except ImportError:
-        if _choice == "c":
-            raise
-        _impl = _kernels_py
 
 implementation: str = _impl.IMPLEMENTATION
 MAX_SEARCH_VERTICES: int = _kernels_py.MAX_SEARCH_VERTICES

@@ -50,7 +50,6 @@ __all__ = [
     "enumerate_realizations",
     "oracle_potentially",
     "check_strategy_agreement",
-    "sigma_empirical",
 ]
 
 DEFAULT_BUDGET = 10**9
@@ -276,33 +275,3 @@ def check_strategy_agreement(
         )
     return embed
 
-
-def sigma_empirical(
-    n: int,
-    pattern: Optional[PatternGraph] = None,
-    budget: int = DEFAULT_BUDGET,
-    strategy: str = STRATEGY_EMBED,
-) -> int:
-    """Smallest even L such that every positive graphic sequence of length n
-    with sum >= L is potentially pattern-graphic, found by exhausting all of
-    them with the oracle: (max sum over non-potential sequences) + 2.
-
-    Raises:
-        DomainError: n outside 6..9.
-        BudgetExceededError: some sequence exhausted the per-sequence budget
-            (the message names it).
-    """
-    if not 6 <= n <= 9:
-        raise DomainError(f"sigma_empirical supports 6 <= n <= 9, got n={n}")
-    from .survey import enumerate_graphic_sequences
-
-    worst: Optional[int] = None
-    for seq in enumerate_graphic_sequences(n, positive_only=True):
-        verdict = oracle_potentially(seq, pattern, strategy, budget)
-        if not verdict.potentially and (worst is None or seq.sigma > worst):
-            worst = seq.sigma
-    if worst is None:
-        raise InternalCheckError(
-            f"no non-potential sequence of length {n}; at least (2^{n}) must be one"
-        )
-    return worst + 2

@@ -54,17 +54,6 @@ class DegreeSequence:
     def n(self) -> int:
         return len(self.terms)
 
-    @property
-    def max_positive(self) -> int:
-        """Largest positive term, 0 if there is none."""
-        return self.terms[0] if self.terms and self.terms[0] > 0 else 0
-
-    @property
-    def min_positive(self) -> int:
-        """Smallest positive term, 0 if there is none."""
-        positive = [t for t in self.terms if t > 0]
-        return positive[-1] if positive else 0
-
     def strip_zeros(self) -> "DegreeSequence":
         """Drop zero terms; realizations differ only by isolated vertices."""
         return DegreeSequence(tuple(t for t in self.terms if t > 0))

@@ -16,7 +16,7 @@ from typing import Optional
 
 from .catalogs import ExceptionCatalog, default_catalog
 from .characterization import lemma_family_decide, theorem31_decide
-from .errors import DomainError
+from .errors import DomainError, InternalCheckError
 from .oracle import DEFAULT_BUDGET, STRATEGY_EMBED, oracle_potentially
 from .sequences import DegreeSequence, is_graphic_eg
 
@@ -25,6 +25,7 @@ __all__ = [
     "SurveyReport",
     "enumerate_graphic_sequences",
     "cross_validate",
+    "sigma_empirical",
     "render_report",
     "emit_report",
     "parse_survey_csv",
@@ -36,13 +37,11 @@ _CSV_COLUMNS = (
     "sequence",
     "n",
     "sigma",
-    "graphic",
     "theorem_verdict",
     "failing_clause",
     "oracle_verdict",
     "lemma_verdict",
     "agree",
-    "witness_file",
 )
 
 
@@ -53,13 +52,11 @@ class SurveyRecord:
     sequence: str
     n: int
     sigma: int
-    graphic: bool
     theorem_verdict: Optional[bool]
     failing_clause: Optional[str]
     oracle_verdict: Optional[bool]
     lemma_verdict: Optional[bool]
     agree: bool
-    witness_file: Optional[str]
 
 
 @dataclass(frozen=True)
@@ -69,8 +66,6 @@ class SurveyReport:
     ``records`` holds every surveyed sequence in enumeration order;
     ``discrepancies`` is its non-agreeing subset. ``runtime`` is wall-clock
     seconds and is the single field exempt from byte-determinism.
-    ``reading_divergences`` lists sequences on which the two readings of
-    clause (5)(i) differ (expected empty; kept as evidence).
     """
 
     n: int
@@ -82,7 +77,6 @@ class SurveyReport:
     catalog_checksum: str
     runtime: float
     records: tuple[SurveyRecord, ...]
-    reading_divergences: tuple[str, ...]
 
 
 def enumerate_graphic_sequences(
@@ -138,11 +132,11 @@ def cross_validate(
 ) -> SurveyReport:
     """Survey every graphic sequence of length n and compare all verdicts.
 
-    For each sequence: the closed-form verdict (both clause-(5)(i) readings,
-    divergences logged), the family verdict where applicable, and the oracle
-    verdict when enabled. ``agree`` per record means every pair of present
-    verdicts coincides; the report collects non-agreeing records. With the
-    oracle enabled the empirical sigma is computed from the same pass.
+    For each sequence: the closed-form verdict, the family verdict where
+    applicable, and the oracle verdict when enabled. ``agree`` per record
+    means every pair of present verdicts coincides; the report collects
+    non-agreeing records. With the oracle enabled the empirical sigma is
+    computed from the same pass.
 
     Raises:
         DomainError: n outside 6..12, or outside 6..9 with the oracle.
@@ -173,16 +167,12 @@ def cross_validate(
         oracle_verdicts = [potentially for potentially, _ in results]
 
     records: list[SurveyRecord] = []
-    divergences: list[str] = []
     for seq, eval_seq, oracle_verdict in zip(seqs, eval_seqs, oracle_verdicts):
         theorem_verdict: Optional[bool] = None
         failing: Optional[str] = None
         lemma_verdict: Optional[bool] = None
         if eval_seq.n >= 6:
             report = theorem31_decide(eval_seq, cat)
-            alt = theorem31_decide(eval_seq, cat, alternative_5i=True)
-            if alt.verdict != report.verdict:
-                divergences.append(seq.render())
             theorem_verdict = report.verdict
             failing = report.failing_clause
             lemma_verdict = lemma_family_decide(eval_seq, cat)
@@ -193,13 +183,11 @@ def cross_validate(
                 sequence=seq.render(),
                 n=seq.n,
                 sigma=seq.sigma,
-                graphic=True,
                 theorem_verdict=theorem_verdict,
                 failing_clause=failing,
                 oracle_verdict=oracle_verdict,
                 lemma_verdict=lemma_verdict,
                 agree=agree,
-                witness_file=None,
             )
         )
 
@@ -224,8 +212,30 @@ def cross_validate(
         catalog_checksum=cat.checksum,
         runtime=round(time.perf_counter() - start, 3),
         records=tuple(records),
-        reading_divergences=tuple(divergences),
     )
+
+
+def sigma_empirical(
+    n: int, budget: int = DEFAULT_BUDGET, strategy: str = STRATEGY_EMBED
+) -> int:
+    """Smallest even L such that every positive graphic sequence of length n
+    with sum >= L is potentially wheel-graphic, found by exhausting all of
+    them with the oracle: (max sum over non-potential sequences) + 2.
+
+    Raises:
+        DomainError: n outside 6..9.
+        BudgetExceededError: some sequence exhausted the per-sequence budget
+            (the message names it).
+        InternalCheckError: no sequence of length n is non-potential.
+    """
+    if not 6 <= n <= 9:
+        raise DomainError(f"sigma_empirical supports 6 <= n <= 9, got n={n}")
+    sigma = cross_validate(n, True, budget=budget, strategy=strategy).sigma_empirical
+    if sigma is None:
+        raise InternalCheckError(
+            f"no non-potential sequence of length {n}; at least (2^{n}) must be one"
+        )
+    return sigma
 
 
 def _record_dict(record: SurveyRecord) -> dict:
@@ -233,13 +243,11 @@ def _record_dict(record: SurveyRecord) -> dict:
         "sequence": record.sequence,
         "n": record.n,
         "sigma": record.sigma,
-        "graphic": record.graphic,
         "theorem_verdict": record.theorem_verdict,
         "failing_clause": record.failing_clause,
         "oracle_verdict": record.oracle_verdict,
         "lemma_verdict": record.lemma_verdict,
         "agree": record.agree,
-        "witness_file": record.witness_file,
     }
 
 
@@ -254,7 +262,6 @@ def _report_dict(report: SurveyReport) -> dict:
         "catalog_checksum": report.catalog_checksum,
         "runtime": report.runtime,
         "records": [_record_dict(r) for r in report.records],
-        "reading_divergences": list(report.reading_divergences),
     }
 
 
@@ -322,13 +329,11 @@ def parse_survey_csv(text: str) -> tuple[dict, list[SurveyRecord]]:
                 sequence=row["sequence"],
                 n=int(row["n"]),
                 sigma=int(row["sigma"]),
-                graphic=row["graphic"] == "true",
                 theorem_verdict=None if row["theorem_verdict"] == "" else row["theorem_verdict"] == "true",
                 failing_clause=row["failing_clause"] or None,
                 oracle_verdict=None if row["oracle_verdict"] == "" else row["oracle_verdict"] == "true",
                 lemma_verdict=None if row["lemma_verdict"] == "" else row["lemma_verdict"] == "true",
                 agree=row["agree"] == "true",
-                witness_file=row["witness_file"] or None,
             )
         )
     return meta, records

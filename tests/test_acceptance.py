@@ -25,12 +25,7 @@ from potgraph.characterization import (
     theorem31_decide,
 )
 from potgraph.graphs import contains_subgraph, degree_sequence_of, pattern_k6_c5
-from potgraph.oracle import (
-    STRATEGY_FULL,
-    OracleVerdict,
-    oracle_potentially,
-    sigma_empirical,
-)
+from potgraph.oracle import STRATEGY_FULL, OracleVerdict, oracle_potentially
 from potgraph.sequences import (
     DegreeSequence,
     is_graphic_eg,
@@ -38,7 +33,7 @@ from potgraph.sequences import (
     layoff,
     parse_sequence,
 )
-from potgraph.survey import cross_validate, enumerate_graphic_sequences
+from potgraph.survey import cross_validate, enumerate_graphic_sequences, sigma_empirical
 
 
 @contextmanager

@@ -30,7 +30,6 @@ def test_default_catalog_shape(catalog):
     }
     assert catalog.checksum.startswith("sha256:")
     assert len(catalog.checksum) == len("sha256:") + 64
-    assert catalog.set_S == catalog.set_s
 
 
 def test_checksum_is_stable(catalog):

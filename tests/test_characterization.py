@@ -167,7 +167,7 @@ def test_corrections_live_in_the_catalog_not_the_code(catalog_dir):
 
 
 def test_alternative_5i_reading_is_extensionally_equal():
-    for n in range(6, 9):
+    for n in range(6, 11):
         for seq in enumerate_graphic_sequences(n):
             default = theorem31_decide(seq)
             alternative = theorem31_decide(seq, alternative_5i=True)

@@ -1,4 +1,4 @@
-"""Immutable bitset graphs, realization, embedding, surgery."""
+"""Immutable bitset graphs, realization, embedding."""
 
 from __future__ import annotations
 
@@ -10,10 +10,8 @@ from potgraph.graphs import (
     Graph,
     contains_subgraph,
     degree_sequence_of,
-    disjoint_union,
     find_embedding,
     havel_hakimi_realize,
-    merge_vertices,
     pattern_k6_c5,
 )
 from potgraph.sequences import DegreeSequence, is_graphic_eg
@@ -55,12 +53,10 @@ def test_basic_constructors():
         Graph.from_edges(3, [(1, 1)])
 
 
-def test_edges_listing_and_with_edge():
+def test_edges_listing():
     g = Graph.from_edges(4, [(2, 3), (0, 1)])
     assert g.edges() == [(0, 1), (2, 3)]
-    g2 = g.with_edge(0, 2)
-    assert g2.has_edge(0, 2) and not g.has_edge(0, 2)
-    assert g2.degree(0) == 2
+    assert g.degree(0) == 1
 
 
 def test_text_round_trip():
@@ -117,14 +113,18 @@ def test_embedding_positive_and_negative():
     assert not contains_subgraph(Graph.cycle(6), pat)
     assert not contains_subgraph(Graph.complete(5), pat)
     # K5 plus an isolated vertex has six vertices but no degree-5 hub
-    k5_pad = disjoint_union(Graph.complete(5), Graph.empty(1))
+    k5_pad = Graph.from_edges(6, Graph.complete(5).edges())
     assert not contains_subgraph(k5_pad, pat)
     assert contains_subgraph(pat.graph, pat)
 
 
 def test_embedding_maps_edges():
     pat = pattern_k6_c5()
-    host = disjoint_union(Graph.cycle(3), pat.graph)
+    # a triangle on 0..2 beside the wheel shifted onto 3..8
+    host = Graph.from_edges(
+        9,
+        Graph.cycle(3).edges() + [(u + 3, v + 3) for u, v in pat.graph.edges()],
+    )
     mapping = find_embedding(host, pat)
     assert mapping is not None
     assert len(set(mapping)) == 6
@@ -140,41 +140,3 @@ def test_embedding_accepts_plain_graphs():
     mapping = find_embedding(host, triangle)
     assert mapping is not None
     assert not contains_subgraph(Graph.from_edges(3, [(0, 1), (1, 2)]), triangle)
-
-
-def test_disjoint_union():
-    a = Graph.complete(3)
-    b = Graph.cycle(4)
-    u = disjoint_union(a, b)
-    assert u.n == 7
-    assert u.degrees() == (2, 2, 2, 2, 2, 2, 2)
-    assert u.edge_count == a.edge_count + b.edge_count
-    assert u.has_edge(0, 1) and u.has_edge(3, 4) and not u.has_edge(2, 3)
-    with pytest.raises(DomainError):
-        disjoint_union(Graph.empty(33), Graph.empty(32))
-
-
-def test_merge_vertices():
-    p4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    merged = merge_vertices(p4, 0, 3)
-    assert merged.n == 3
-    assert sorted(merged.degrees()) == [2, 2, 2]
-    assert merged.edge_count == 3  # the path closes into a triangle
-    with pytest.raises(DomainError):
-        merge_vertices(p4, 1, 1)
-    with pytest.raises(DomainError):
-        merge_vertices(p4, 0, 1)  # adjacent
-    with pytest.raises(DomainError):
-        merge_vertices(p4, 0, 2)  # share neighbor 1
-    with pytest.raises(DomainError):
-        merge_vertices(p4, 0, 4)
-
-
-def test_merge_vertices_index_shift():
-    g = Graph.from_edges(5, [(0, 1), (2, 3), (3, 4)])
-    merged = merge_vertices(g, 0, 2)
-    # vertex 2 disappears, vertices 3 and 4 slide down to 2 and 3
-    assert merged.n == 4
-    assert merged.has_edge(0, 1)
-    assert merged.has_edge(0, 2)  # inherited 2-3
-    assert merged.has_edge(2, 3)  # old 3-4

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import helpers
+import potgraph
 import potgraph._kernels_py as kpy
 from potgraph import kernels
 from potgraph.graphs import pattern_k6_c5
@@ -227,26 +230,19 @@ def test_twin_parity_on_wheel_sequences():
         assert got_py == got_c
 
 
-def test_kernel_env_selection():
-    env = dict(os.environ)
-    code = "from potgraph import kernels; print(kernels.implementation)"
-
-    env["POTGRAPH_KERNEL"] = "py"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0 and out.stdout.strip() == "py"
-
-    env["POTGRAPH_KERNEL"] = "bogus"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode != 0
-    assert "POTGRAPH_KERNEL" in out.stderr
-
-    if kc is not None:
-        env["POTGRAPH_KERNEL"] = "c"
+def test_kernel_env_variable_is_ignored():
+    """The kernel is chosen by what imports, never by the environment, so a
+    stray POTGRAPH_KERNEL value cannot break any command."""
+    src = str(Path(potgraph.__file__).resolve().parent.parent)
+    env = dict(os.environ, POTGRAPH_KERNEL="bogus")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for argv in (["--help"], ["check", "5,3^5"]):
         out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+            [sys.executable, "-m", "potgraph.cli", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
         )
-        assert out.returncode == 0 and out.stdout.strip() == "c"
+        assert out.returncode == 0, (argv, out.stderr)
+        assert "Traceback" not in out.stderr, argv
+    assert json.loads(out.stdout)["verdict"] is True

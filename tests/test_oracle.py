@@ -20,10 +20,9 @@ from potgraph.oracle import (
     check_strategy_agreement,
     enumerate_realizations,
     oracle_potentially,
-    sigma_empirical,
 )
 from potgraph.sequences import DegreeSequence, is_graphic_eg, parse_sequence
-from potgraph.survey import enumerate_graphic_sequences
+from potgraph.survey import enumerate_graphic_sequences, sigma_empirical
 
 
 POSITIVE_FIXTURES = ["5,3^5", "5^2,4^4", "6,3^6,2^2", "5^6"]

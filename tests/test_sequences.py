@@ -78,8 +78,6 @@ def test_degree_sequence_invariants():
 
 def test_zero_handling_and_extremes():
     seq = parse_sequence("3,2,1,0^2")
-    assert seq.max_positive == 3
-    assert seq.min_positive == 1
     assert seq.strip_zeros().terms == (3, 2, 1)
     assert parse_sequence("0^4").strip_zeros().terms == ()
 

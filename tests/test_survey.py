@@ -64,14 +64,11 @@ def test_cross_validate_theorem_only(catalog):
     assert report.sigma_empirical is None
     assert report.sigma_formula == 26
     assert report.discrepancies == ()
-    assert report.reading_divergences == ()
     assert report.catalog_checksum == catalog.checksum
     assert len(report.records) == 71
     for record in report.records:
         assert record.oracle_verdict is None
-        assert record.graphic is True
         assert record.agree is True
-        assert record.witness_file is None
 
 
 def test_cross_validate_with_oracle():
@@ -126,6 +123,36 @@ def test_json_rendering_shape():
     assert data["sigma_formula"] == 26
     assert len(data["records"]) == 71
     assert data["records"][0]["sequence"] == "5^6"
+
+
+def test_report_schema_is_pinned():
+    report = cross_validate(6, use_oracle=False)
+    data = json.loads(render_report(report, "json"))
+    assert list(data) == [
+        "n",
+        "total_sequences",
+        "potential_count",
+        "discrepancies",
+        "sigma_empirical",
+        "sigma_formula",
+        "catalog_checksum",
+        "runtime",
+        "records",
+    ]
+    record_keys = [
+        "sequence",
+        "n",
+        "sigma",
+        "theorem_verdict",
+        "failing_clause",
+        "oracle_verdict",
+        "lemma_verdict",
+        "agree",
+    ]
+    assert list(data["records"][0]) == record_keys
+    csv_lines = render_report(report, "csv").splitlines()
+    header = next(line for line in csv_lines if not line.startswith("# "))
+    assert header.split(",") == record_keys
 
 
 def test_csv_round_trip(tmp_path):
