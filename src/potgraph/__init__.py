@@ -24,7 +24,6 @@ from .errors import (
     InternalCheckError,
     PotgraphError,
     SequenceParseError,
-    StrategyDisagreementError,
 )
 from .graphs import (
     Graph,
@@ -37,12 +36,9 @@ from .graphs import (
 )
 from .oracle import (
     DEFAULT_BUDGET,
-    EnumerationSummary,
     OracleVerdict,
     STRATEGY_EMBED,
     STRATEGY_FULL,
-    check_strategy_agreement,
-    enumerate_realizations,
     oracle_potentially,
 )
 from .sequences import (
@@ -70,7 +66,6 @@ __all__ = [
     "DEFAULT_BUDGET",
     "DegreeSequence",
     "DomainError",
-    "EnumerationSummary",
     "ExceptionCatalog",
     "FormDescriptor",
     "Graph",
@@ -81,10 +76,8 @@ __all__ = [
     "STRATEGY_EMBED",
     "STRATEGY_FULL",
     "SequenceParseError",
-    "StrategyDisagreementError",
     "SurveyRecord",
     "SurveyReport",
-    "check_strategy_agreement",
     "contains_subgraph",
     "cross_validate",
     "decompose_form",
@@ -92,7 +85,6 @@ __all__ = [
     "degree_sequence_of",
     "emit_report",
     "enumerate_graphic_sequences",
-    "enumerate_realizations",
     "extremal_sequence",
     "find_embedding",
     "havel_hakimi_realize",

@@ -2,16 +2,15 @@
 
 Catalog file format: one degree sequence per line in exponent notation,
 ``#`` comments allowed. The default catalog ships inside the package; a
-directory override (argument or POTGRAPH_CATALOG) must contain the same file
-names. Every report embeds ``checksum`` so results can be traced to the exact
-catalog content that produced them.
+directory passed to ``load_catalog`` must contain the same file names. Every
+report embeds ``checksum`` so results can be traced to the exact catalog
+content that produced them.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import os
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -189,11 +188,7 @@ def load_catalog(directory: Optional[Union[str, Path]] = None) -> ExceptionCatal
     )
 
 
-@functools.lru_cache(maxsize=8)
-def _cached_catalog(directory: Optional[str]) -> ExceptionCatalog:
-    return load_catalog(directory)
-
-
+@functools.cache
 def default_catalog() -> ExceptionCatalog:
-    """The packaged catalog, or the POTGRAPH_CATALOG directory if set."""
-    return _cached_catalog(os.environ.get("POTGRAPH_CATALOG") or None)
+    """The packaged catalog, loaded once per process."""
+    return load_catalog()

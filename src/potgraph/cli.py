@@ -3,29 +3,18 @@
 Exit codes: 0 success, 1 usage error, 2 parse/domain error, 3 cross-validation
 discrepancy (or internal inconsistency), 4 oracle budget exhausted. Every
 error is a single machine-parsable ``error: <reason>`` line on stderr.
-
-Environment: POTGRAPH_BUDGET (default node budget), POTGRAPH_CATALOG
-(catalog directory), POTGRAPH_JOBS (survey workers).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional
 
 from .catalogs import load_catalog
 from .characterization import theorem31_decide
-from .errors import (
-    BudgetExceededError,
-    DomainError,
-    InternalCheckError,
-    PotgraphError,
-    SequenceParseError,
-    StrategyDisagreementError,
-)
+from .errors import BudgetExceededError, DomainError, InternalCheckError, PotgraphError
 from .graphs import havel_hakimi_realize
 from .oracle import DEFAULT_BUDGET, STRATEGIES, STRATEGY_EMBED, oracle_potentially
 from .sequences import is_graphic_eg, is_graphic_kw, parse_sequence
@@ -51,16 +40,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise DomainError(f"{name} must be an integer, got {raw!r}") from None
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="potgraph",
@@ -74,14 +53,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--catalog",
         metavar="DIR",
         default=None,
-        help="exception-catalog directory (default: packaged data or POTGRAPH_CATALOG)",
+        help="exception-catalog directory (default: packaged data)",
     )
     parser.add_argument(
         "--budget",
         metavar="N",
         type=int,
-        default=None,
-        help=f"oracle node budget per sequence (default: POTGRAPH_BUDGET or {DEFAULT_BUDGET})",
+        default=DEFAULT_BUDGET,
+        help=f"oracle node budget per sequence (default: {DEFAULT_BUDGET})",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -126,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="FILE", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--strategy", choices=STRATEGIES, default=STRATEGY_EMBED)
-    p.add_argument("--jobs", type=int, default=None, help="parallel oracle workers")
+    p.add_argument("--jobs", type=int, default=1, help="parallel oracle workers")
     p.add_argument(
         "--allow-zeros",
         action="store_true",
@@ -161,7 +140,7 @@ def _cmd_check(args, catalog, budget) -> int:
 
 def _cmd_oracle(args, catalog, budget) -> int:
     seq = parse_sequence(args.sequence)
-    verdict = oracle_potentially(seq, None, args.strategy, budget)
+    verdict = oracle_potentially(seq, args.strategy, budget)
     witness_file: Optional[str] = None
     if verdict.potentially and not args.no_witness_file:
         witness_file = args.witness or f"witness_{seq.render()}.txt"
@@ -185,7 +164,7 @@ def _cmd_oracle(args, catalog, budget) -> int:
 def _cmd_realize(args, catalog, budget) -> int:
     seq = parse_sequence(args.sequence)
     if args.contain:
-        verdict = oracle_potentially(seq, None, STRATEGY_EMBED, budget)
+        verdict = oracle_potentially(seq, STRATEGY_EMBED, budget)
         if not verdict.potentially:
             raise DomainError(
                 f"({seq}) has no realization containing the pattern"
@@ -203,14 +182,13 @@ def _cmd_realize(args, catalog, budget) -> int:
 
 
 def _cmd_survey(args, catalog, budget) -> int:
-    jobs = args.jobs if args.jobs is not None else _env_int("POTGRAPH_JOBS", 1)
     report = cross_validate(
         args.n,
         args.oracle,
         budget=budget,
         catalog=catalog,
         strategy=args.strategy,
-        jobs=jobs,
+        jobs=args.jobs,
         allow_zeros=args.allow_zeros,
     )
     text = emit_report(report, args.format, args.out)
@@ -245,25 +223,14 @@ def run_cli(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE
     try:
         catalog = load_catalog(args.catalog) if args.catalog else None
-        budget = args.budget if args.budget is not None else _env_int(
-            "POTGRAPH_BUDGET", DEFAULT_BUDGET
-        )
-        if budget < 1:
-            raise DomainError(f"budget must be positive, got {budget}")
-        return _COMMANDS[args.command](args, catalog, budget)
+        return _COMMANDS[args.command](args, catalog, args.budget)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (StrategyDisagreementError, InternalCheckError) as exc:
+    except InternalCheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DISCREPANCY
-    except (SequenceParseError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except PotgraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except OSError as exc:
+    except (PotgraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

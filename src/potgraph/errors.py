@@ -7,7 +7,6 @@ __all__ = [
     "SequenceParseError",
     "DomainError",
     "BudgetExceededError",
-    "StrategyDisagreementError",
     "InternalCheckError",
 ]
 
@@ -41,14 +40,6 @@ class BudgetExceededError(PotgraphError, RuntimeError):
         super().__init__(message)
         self.sequence = sequence
         self.nodes = nodes
-
-
-class StrategyDisagreementError(PotgraphError, RuntimeError):
-    """Two independent oracle strategies returned different verdicts.
-
-    This signals a bug in one of the search strategies, never a property of
-    the input, so it is an internal-consistency failure.
-    """
 
 
 class InternalCheckError(PotgraphError, RuntimeError):

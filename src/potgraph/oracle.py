@@ -20,18 +20,12 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from . import kernels
-from .errors import (
-    BudgetExceededError,
-    DomainError,
-    InternalCheckError,
-    StrategyDisagreementError,
-)
+from .errors import BudgetExceededError, DomainError, InternalCheckError
 from .graphs import (
     Graph,
-    PatternGraph,
     _embedding_order,
     contains_subgraph,
     degree_sequence_of,
@@ -45,29 +39,18 @@ __all__ = [
     "STRATEGY_FULL",
     "STRATEGY_EMBED",
     "STRATEGIES",
-    "EnumerationSummary",
     "OracleVerdict",
-    "enumerate_realizations",
     "oracle_potentially",
-    "check_strategy_agreement",
 ]
 
 DEFAULT_BUDGET = 10**9
 MAX_ORACLE_VERTICES = 12
+# the compiled kernel stores the budget in a C long long
+_MAX_BUDGET = 2**63 - 1
 
 STRATEGY_FULL = "full-enumeration"
 STRATEGY_EMBED = "embed-and-extend"
 STRATEGIES = (STRATEGY_EMBED, STRATEGY_FULL)
-
-
-@dataclass(frozen=True)
-class EnumerationSummary:
-    """Result of walking the labeled realizations of one sequence."""
-
-    realizations: int
-    nodes: int
-    complete: bool
-    halted: bool
 
 
 @dataclass(frozen=True)
@@ -78,37 +61,17 @@ class OracleVerdict:
     nodes_explored: int
 
 
-def _check_domain(seq: DegreeSequence, positive: bool) -> None:
+def _check_domain(seq: DegreeSequence, budget: int) -> None:
+    if not 1 <= budget <= _MAX_BUDGET:
+        raise DomainError(f"budget must be in 1..{_MAX_BUDGET}, got {budget}")
     if seq.n > MAX_ORACLE_VERTICES:
         raise DomainError(
             f"oracle operations support n <= {MAX_ORACLE_VERTICES}, got n={seq.n}"
         )
-    if positive and seq.n and seq.terms[-1] == 0:
+    if seq.n and seq.terms[-1] == 0:
         raise DomainError("oracle needs positive terms; strip zeros first")
     if not is_graphic_eg(seq):
         raise DomainError(f"({seq}) is not graphic")
-
-
-def enumerate_realizations(
-    seq: DegreeSequence,
-    visit: Optional[Callable[[tuple[int, ...]], object]] = None,
-    budget: int = DEFAULT_BUDGET,
-) -> EnumerationSummary:
-    """Visit every labeled realization of seq (unless halted or out of budget).
-
-    ``visit`` receives the adjacency rows of each realization; a truthy
-    return halts the walk. The summary's ``complete`` flag is the only
-    statement about coverage: when False the budget ran out and nothing may
-    be concluded from the visits so far.
-
-    Raises:
-        DomainError: seq not graphic or n > 12.
-    """
-    _check_domain(seq, positive=False)
-    visited, nodes, complete, witness = kernels.search(
-        seq.terms, None, budget, visit, None, None, False
-    )
-    return EnumerationSummary(visited, nodes, complete, witness is not None)
 
 
 @functools.lru_cache(maxsize=None)
@@ -155,12 +118,10 @@ def _combine(n: int, completion: tuple[int, ...], subset: tuple[int, ...],
     return Graph(n, tuple(rows))
 
 
-def _embed_and_extend(
-    seq: DegreeSequence, pattern: PatternGraph, budget: int
-) -> OracleVerdict:
+def _embed_and_extend(seq: DegreeSequence, budget: int) -> OracleVerdict:
     n = seq.n
     degs = seq.terms
-    pg = pattern.graph
+    pg = pattern_k6_c5().graph
     pn = pg.n
     nodes = 0
     if pn <= n:
@@ -210,10 +171,8 @@ def _embed_and_extend(
     return OracleVerdict(False, None, STRATEGY_EMBED, nodes)
 
 
-def _full_enumeration(
-    seq: DegreeSequence, pattern: PatternGraph, budget: int
-) -> OracleVerdict:
-    pg = pattern.graph
+def _full_enumeration(seq: DegreeSequence, budget: int) -> OracleVerdict:
+    pg = pattern_k6_c5().graph
     _, nodes, complete, witness = kernels.search(
         seq.terms, None, budget, None, pg.rows, _embedding_order(pg.rows), False
     )
@@ -228,50 +187,29 @@ def _full_enumeration(
 
 def oracle_potentially(
     seq: DegreeSequence,
-    pattern: Optional[PatternGraph] = None,
     strategy: str = STRATEGY_EMBED,
     budget: int = DEFAULT_BUDGET,
 ) -> OracleVerdict:
-    """Exact decision: does some realization of seq contain the pattern?
+    """Exact decision: does some realization of seq contain the wheel?
 
     Every positive verdict carries a witness that is re-verified here
     (degree sequence and containment) before being returned.
 
     Raises:
-        DomainError: non-graphic, zero terms, or n > 12.
+        DomainError: non-graphic, zero terms, n > 12, or a budget outside
+            1..2^63-1.
         BudgetExceededError: the node budget ran out first.
         InternalCheckError: a witness failed re-verification.
     """
-    pat = pattern if pattern is not None else pattern_k6_c5()
-    _check_domain(seq, positive=True)
+    _check_domain(seq, budget)
     if strategy == STRATEGY_EMBED:
-        verdict = _embed_and_extend(seq, pat, budget)
+        verdict = _embed_and_extend(seq, budget)
     elif strategy == STRATEGY_FULL:
-        verdict = _full_enumeration(seq, pat, budget)
+        verdict = _full_enumeration(seq, budget)
     else:
         raise DomainError(f"unknown strategy {strategy!r}; use one of {STRATEGIES}")
     if verdict.potentially:
         witness = verdict.witness
-        if witness is None or degree_sequence_of(witness) != seq or not contains_subgraph(witness, pat):
+        if witness is None or degree_sequence_of(witness) != seq or not contains_subgraph(witness, pattern_k6_c5()):
             raise InternalCheckError(f"witness failed re-verification for ({seq})")
     return verdict
-
-
-def check_strategy_agreement(
-    seq: DegreeSequence,
-    pattern: Optional[PatternGraph] = None,
-    budget: int = DEFAULT_BUDGET,
-) -> OracleVerdict:
-    """Run both strategies; raise unless their verdicts coincide.
-
-    Returns the embed-and-extend verdict (the cheaper witness) on agreement.
-    """
-    embed = oracle_potentially(seq, pattern, STRATEGY_EMBED, budget)
-    full = oracle_potentially(seq, pattern, STRATEGY_FULL, budget)
-    if embed.potentially != full.potentially:
-        raise StrategyDisagreementError(
-            f"strategies disagree on ({seq}): "
-            f"embed-and-extend={embed.potentially}, full-enumeration={full.potentially}"
-        )
-    return embed
-

@@ -88,8 +88,8 @@ def parse_sequence(text: str) -> DegreeSequence:
     sequence; terms are re-sorted, so input order never matters.
 
     Raises:
-        SequenceParseError: malformed token (the message names the offending
-            character span of ``text``).
+        SequenceParseError: malformed token or a number too long to convert
+            (the message names the offending character span of ``text``).
         DomainError: empty input, negative degree, exponent < 1, or more than
             MAX_TERMS expanded terms.
     """
@@ -106,8 +106,13 @@ def parse_sequence(text: str) -> DegreeSequence:
             raise SequenceParseError(
                 f"malformed term {chunk.strip()!r} at {span}", text, start, end
             )
-        base = int(match.group(1))
-        exponent = int(match.group(2)) if match.group(2) is not None else 1
+        try:
+            base = int(match.group(1))
+            exponent = int(match.group(2)) if match.group(2) is not None else 1
+        except ValueError:  # past the interpreter's int-conversion digit limit
+            raise SequenceParseError(
+                f"number too long at {span}", text, start, end
+            ) from None
         if base < 0:
             raise DomainError(f"negative degree {base} at {span}")
         if exponent < 1:

@@ -8,6 +8,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -116,7 +117,7 @@ def enumerate_graphic_sequences(
 
 def _oracle_worker(args: tuple[tuple[int, ...], int, str]) -> tuple[bool, int]:
     terms, budget, strategy = args
-    verdict = oracle_potentially(DegreeSequence(terms), None, strategy, budget)
+    verdict = oracle_potentially(DegreeSequence(terms), strategy, budget)
     return verdict.potentially, verdict.nodes_explored
 
 
@@ -160,7 +161,9 @@ def cross_validate(
     if use_oracle:
         payload = [(e.terms, budget, strategy) for e in eval_seqs]
         if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+            # the default fork start method launches every worker at once
+            workers = min(jobs, len(payload), os.cpu_count() or 1)
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_oracle_worker, payload, chunksize=8))
         else:
             results = [_oracle_worker(item) for item in payload]
@@ -228,8 +231,6 @@ def sigma_empirical(
             (the message names it).
         InternalCheckError: no sequence of length n is non-potential.
     """
-    if not 6 <= n <= 9:
-        raise DomainError(f"sigma_empirical supports 6 <= n <= 9, got n={n}")
     sigma = cross_validate(n, True, budget=budget, strategy=strategy).sigma_empirical
     if sigma is None:
         raise InternalCheckError(

@@ -6,7 +6,6 @@ import pytest
 
 from potgraph.catalogs import (
     FAMILY_KEYS,
-    default_catalog,
     load_catalog,
     two_high_parametric_match,
 )
@@ -147,14 +146,3 @@ def test_cond7_entries_must_be_graphic(catalog_dir):
         fh.write("3,3,1,1\n")
     with pytest.raises(DomainError):
         load_catalog(str(catalog_dir))
-
-
-def test_env_override(monkeypatch, catalog_dir, catalog):
-    with (catalog_dir / "cond7_fixed.txt").open("a") as fh:
-        fh.write("5,5,4,4,3,3\n")
-    monkeypatch.setenv("POTGRAPH_CATALOG", str(catalog_dir))
-    doctored = default_catalog()
-    assert doctored.in_cond7_fixed(parse_sequence("5^2,4^2,3^2"))
-    assert doctored.checksum != catalog.checksum
-    monkeypatch.delenv("POTGRAPH_CATALOG")
-    assert default_catalog().checksum == catalog.checksum

@@ -1,4 +1,4 @@
-"""Command-line interface: exit codes, output contracts, environment knobs."""
+"""Command-line interface: exit codes, output contracts, global flags."""
 
 from __future__ import annotations
 
@@ -65,6 +65,10 @@ def test_check_errors(capsys):
     code, _, err = run(capsys, ["check", "3,3,1,1"])  # not graphic, n < 6
     assert code == 2
     assert err.startswith("error:")
+    code, _, err = run(capsys, ["check", "9" * 5000])  # past int()'s digit limit
+    assert code == 2
+    assert err.startswith("error:")
+    assert len(err.splitlines()) == 1
 
 
 def test_oracle_writes_witness(capsys, tmp_path, monkeypatch):
@@ -158,25 +162,20 @@ def test_sigma_command(capsys):
     assert run(capsys, ["sigma", "--n", "5"])[0] == 2
 
 
-def test_budget_flag_and_env(capsys, monkeypatch):
+def test_budget_flag(capsys):
     code, _, err = run(capsys, ["--budget", "2", "oracle", "5,3^5"])
     assert code == 4
     assert "budget" in err
 
     code, _, _ = run(capsys, ["--budget", "0", "oracle", "5,3^5"])
     assert code == 2
-
-    monkeypatch.setenv("POTGRAPH_BUDGET", "2")
-    assert run(capsys, ["oracle", "5,3^5"])[0] == 4
-    monkeypatch.setenv("POTGRAPH_BUDGET", "many")
-    assert run(capsys, ["oracle", "5,3^5"])[0] == 2
+    # only the oracle reads the budget
+    assert run(capsys, ["--budget", "0", "check", "5,3^5"])[0] == 0
 
 
-def test_jobs_env(capsys, monkeypatch):
-    monkeypatch.setenv("POTGRAPH_JOBS", "2")
-    assert run(capsys, ["survey", "--n", "6", "--oracle"])[0] == 0
-    monkeypatch.setenv("POTGRAPH_JOBS", "abc")
-    assert run(capsys, ["survey", "--n", "6"])[0] == 2
+def test_jobs_flag(capsys):
+    assert run(capsys, ["survey", "--n", "6", "--oracle", "--jobs", "2"])[0] == 0
+    assert run(capsys, ["survey", "--n", "6", "--jobs", "0"])[0] == 2
 
 
 def test_catalog_flag_missing_directory(capsys, tmp_path):

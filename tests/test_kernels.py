@@ -69,6 +69,16 @@ def test_counts_match_brute_force(impl):
             assert visited == expected, terms
             assert complete is True
             assert witness is None
+    # frozen counts, reaching past the brute-force range
+    frozen = {
+        (1, 1, 1, 1): 3,
+        (2, 1, 1): 1,
+        (5, 3, 3, 3, 3, 3): 12,
+        (6, 3, 3, 3, 3, 3, 3, 2): 1965,
+        (6, 6, 3, 3, 3, 3, 2, 2): 169,
+    }
+    for terms, expected in frozen.items():
+        assert impl.search(terms, None, BIG, None, None, None, False)[0] == expected, terms
 
 
 def test_visit_sink_collects_valid_graphs(impl):

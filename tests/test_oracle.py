@@ -6,23 +6,11 @@ import pytest
 
 import helpers
 import potgraph.oracle as oracle_mod
-from potgraph.errors import (
-    BudgetExceededError,
-    DomainError,
-    InternalCheckError,
-    StrategyDisagreementError,
-)
+from potgraph.errors import BudgetExceededError, DomainError, InternalCheckError
 from potgraph.graphs import Graph, contains_subgraph, degree_sequence_of, pattern_k6_c5
-from potgraph.oracle import (
-    STRATEGIES,
-    STRATEGY_EMBED,
-    OracleVerdict,
-    check_strategy_agreement,
-    enumerate_realizations,
-    oracle_potentially,
-)
-from potgraph.sequences import DegreeSequence, is_graphic_eg, parse_sequence
-from potgraph.survey import enumerate_graphic_sequences, sigma_empirical
+from potgraph.oracle import STRATEGIES, STRATEGY_EMBED, OracleVerdict, oracle_potentially
+from potgraph.sequences import parse_sequence
+from potgraph.survey import sigma_empirical
 
 
 POSITIVE_FIXTURES = ["5,3^5", "5^2,4^4", "6,3^6,2^2", "5^6"]
@@ -67,68 +55,6 @@ def test_witness_is_deterministic():
     assert first.nodes_explored == second.nodes_explored
 
 
-def test_strategy_agreement_exhaustive_n6():
-    positives = 0
-    for seq in enumerate_graphic_sequences(6):
-        verdict = check_strategy_agreement(seq)
-        assert verdict.strategy == STRATEGY_EMBED
-        positives += verdict.potentially
-    assert positives == 8
-
-
-def test_strategy_disagreement_raises(monkeypatch):
-    seq = parse_sequence("5,3^5")
-    real = oracle_mod._full_enumeration
-
-    def lying_full(s, pat, budget):
-        verdict = real(s, pat, budget)
-        return OracleVerdict(False, None, verdict.strategy, verdict.nodes_explored)
-
-    monkeypatch.setattr(oracle_mod, "_full_enumeration", lying_full)
-    with pytest.raises(StrategyDisagreementError):
-        check_strategy_agreement(seq)
-
-
-def test_enumeration_counts():
-    assert enumerate_realizations(parse_sequence("1^4")).realizations == 3
-    assert enumerate_realizations(parse_sequence("2,1,1")).realizations == 1
-    assert enumerate_realizations(parse_sequence("5,3^5")).realizations == 12
-    assert enumerate_realizations(parse_sequence("6,3^6,2")).realizations == 1965
-    assert enumerate_realizations(parse_sequence("6^2,3^4,2^2")).realizations == 169
-
-
-def test_enumeration_matches_brute_force():
-    for n in range(1, 6):
-        for terms in helpers.all_degree_vectors(n):
-            seq = DegreeSequence(terms)
-            if 0 in terms or not is_graphic_eg(seq):
-                continue
-            summary = enumerate_realizations(seq)
-            assert summary.realizations == helpers.brute_force_realizations(terms)
-            assert summary.complete is True
-            assert summary.halted is False
-
-
-def test_enumeration_visit_halts():
-    seen = []
-
-    def stop_at_five(rows):
-        seen.append(rows)
-        return len(seen) == 5
-
-    summary = enumerate_realizations(parse_sequence("5,3^5"), visit=stop_at_five)
-    assert summary.realizations == 5
-    assert summary.halted is True
-    assert summary.complete is False
-
-
-def test_enumeration_budget_is_soft():
-    summary = enumerate_realizations(parse_sequence("5,3^5"), budget=3)
-    assert summary.complete is False
-    assert summary.halted is False
-    assert summary.nodes == 4
-
-
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_budget_exceeded_raises(strategy):
     seq = parse_sequence("5,3^5")
@@ -148,15 +74,19 @@ def test_domain_errors():
         oracle_potentially(parse_sequence("5^5,1"))  # not graphic
     with pytest.raises(DomainError):
         oracle_potentially(parse_sequence("5,3^5"), strategy="bogus")
-    with pytest.raises(DomainError):
-        enumerate_realizations(parse_sequence("3,1"))
+    # the compiled kernel holds the budget in a signed 64-bit integer
+    for strategy in STRATEGIES:
+        for budget in (0, 2**63):
+            with pytest.raises(DomainError):
+                oracle_potentially(parse_sequence("5,3^5"), strategy, budget)
+        assert oracle_potentially(parse_sequence("5,3^5"), strategy, 2**63 - 1).potentially
 
 
 def test_witness_reverification_guard(monkeypatch):
     seq = parse_sequence("5,3^5")
     bogus = Graph.complete(6)  # wrong degree sequence for seq
 
-    def lying_embed(s, pat, budget):
+    def lying_embed(s, budget):
         return OracleVerdict(True, bogus, STRATEGY_EMBED, 1)
 
     monkeypatch.setattr(oracle_mod, "_embed_and_extend", lying_embed)

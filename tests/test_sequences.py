@@ -31,7 +31,12 @@ def test_parse_basic_forms():
 
 @pytest.mark.parametrize(
     "text",
-    ["5,,3", "a", "3^", "^2", "5 3", "3,^2", "5;3", "3^^2"],
+    [
+        "5,,3", "a", "3^", "^2", "5 3", "3,^2", "5;3", "3^^2",
+        # longer than int() converts
+        pytest.param("9" * 5000, id="9x5000"),
+        pytest.param("5^" + "9" * 5000, id="5^9x5000"),
+    ],
 )
 def test_parse_rejects_malformed(text):
     with pytest.raises(SequenceParseError):

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 
 import pytest
 
 import helpers
+import potgraph.survey as survey_mod
 from potgraph.catalogs import load_catalog
 from potgraph.errors import DomainError
 from potgraph.survey import (
@@ -104,6 +106,30 @@ def test_jobs_do_not_change_results():
     )
     with pytest.raises(DomainError):
         cross_validate(6, use_oracle=True, jobs=0)
+
+
+def test_jobs_are_capped_at_cpu_count(monkeypatch):
+    requested = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(survey_mod, "ProcessPoolExecutor", SerialPool)
+    capped = cross_validate(6, use_oracle=True, jobs=10**6)
+    assert len(requested) == 1
+    assert 1 <= requested[0] <= (os.cpu_count() or 1)
+    serial = cross_validate(6, use_oracle=True, jobs=1)
+    assert capped.records == serial.records
 
 
 def test_determinism_across_runs():
