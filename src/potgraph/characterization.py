@@ -52,7 +52,7 @@ CLAUSE_IDS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FormDescriptor:
     """Unique decomposition of a positive sequence: head terms (> 3) plus
     multiplicities i, j, k of the terms 3, 2, 1."""
@@ -69,7 +69,7 @@ class FormDescriptor:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConditionReport:
     """Outcome of the seven-condition evaluation for one sequence."""
 

@@ -30,7 +30,7 @@ __all__ = [
 MAX_VERTICES = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Graph:
     """Immutable simple graph on vertices 0..n-1."""
 

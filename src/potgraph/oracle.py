@@ -6,9 +6,14 @@ contains the wheel pattern:
 * full-enumeration: walk every labeled realization (row-major backtracking
   with residual-degree feasibility pruning) and test containment on each,
   halting at the first hit.
-* embed-and-extend: for each 6-vertex subset and each distinct labeled copy
-  of the pattern on it, subtract the pattern degrees and search for a
-  completion of the residual degrees that avoids the pattern's edges.
+* embed-and-extend: place the wheel on the sequence's degree values, one
+  placement class at a time, subtract the pattern degrees and search for a
+  completion of the residual degrees that avoids the pattern's edges. A
+  class is a hub value >= 5 and a ring of five rim values >= 3, taken up to
+  the wheel's 10 automorphisms (rotations and reflections of the rim), each
+  value used no more often than it occurs. Vertices of equal degree are
+  interchangeable, so one search per class, on representative vertices,
+  covers every (6-vertex subset, labeled copy) pair of that class.
 
 Both are complete, so they must agree; tests compare them exhaustively. All
 searches charge work to a per-call node budget and exhausting it raises,
@@ -53,7 +58,7 @@ STRATEGY_EMBED = "embed-and-extend"
 STRATEGIES = (STRATEGY_EMBED, STRATEGY_FULL)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OracleVerdict:
     potentially: bool
     witness: Optional[Graph]
@@ -74,100 +79,110 @@ def _check_domain(seq: DegreeSequence, budget: int) -> None:
         raise DomainError(f"({seq}) is not graphic")
 
 
-@functools.lru_cache(maxsize=None)
-def _pattern_copies(
-    rows: tuple[int, ...]
-) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """All distinct labeled copies of a pattern on its own vertex set.
+@functools.cache
+def _wheel() -> tuple[int, tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """The wheel's hub, its rim in cycle order, and its edges.
 
-    Returns (adjacency rows, degree vector) per copy, sorted for determinism.
-    For the wheel this yields 720/|Aut| = 72 copies.
+    The rim vertices induce a 5-cycle of their own (the pentagram 1-3-5-2-4),
+    so the wheel's 10 automorphisms act on that order as the dihedral group D5.
     """
+    rows = pattern_k6_c5().graph.rows
     pn = len(rows)
-    edges = [
+    hub = max(range(pn), key=lambda v: rows[v].bit_count())
+    rim = [min(v for v in range(pn) if v != hub)]
+    while len(rim) < pn - 1:
+        ring = rows[rim[-1]] & ~(1 << hub)
+        rim.append(next(v for v in range(pn) if ring >> v & 1 and v not in rim[-2:]))
+    edges = tuple(
         (u, v) for u in range(pn) for v in range(u + 1, pn) if rows[u] >> v & 1
-    ]
-    seen = set()
+    )
+    return hub, tuple(rim), edges
+
+
+@functools.cache
+def _bracelets(shape: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """One arrangement per D5 orbit of the rim labels in ``shape``.
+
+    ``shape`` lists a rim multiset by the first index of each value, e.g.
+    (0, 0, 2, 3, 3) for a,a,b,c,c; an arrangement is kept when it is the
+    least of its 10 rotations and reflections. They come in increasing order.
+    """
     out = []
-    for perm in itertools.permutations(range(pn)):
-        key = frozenset(frozenset((perm[u], perm[v])) for u, v in edges)
-        if key in seen:
-            continue
-        seen.add(key)
-        crow = [0] * pn
-        for u, v in edges:
-            crow[perm[u]] |= 1 << perm[v]
-            crow[perm[v]] |= 1 << perm[u]
-        out.append((tuple(crow), tuple(r.bit_count() for r in crow)))
-    out.sort()
+    for arr in sorted(set(itertools.permutations(shape))):
+        turns = [arr[i:] + arr[:i] for i in range(len(arr))]
+        if arr == min(turns + [t[::-1] for t in turns]):
+            out.append(arr)
     return tuple(out)
 
 
-def _combine(n: int, completion: tuple[int, ...], subset: tuple[int, ...],
-             copy_rows: tuple[int, ...]) -> Graph:
-    rows = list(completion)
-    for a in range(len(subset)):
-        ra = copy_rows[a]
-        while ra:
-            b = (ra & -ra).bit_length() - 1
-            ra &= ra - 1
-            if b > a:
-                u, v = subset[a], subset[b]
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-    return Graph(n, tuple(rows))
+def _placements(degs: tuple[int, ...]):
+    """Yield one placement of the wheel per placement class of ``degs``.
+
+    A placement lists the host vertex of each wheel vertex; each value goes
+    to its lowest-indexed vertex not yet used (``degs`` is non-increasing).
+    Permuting equal-degree vertices maps realizations to realizations, and
+    wheel automorphisms map copies to copies, so one placement per class
+    decides as much as all of them. Hubs come largest first and, under each,
+    rim multisets in decreasing order, so that a positive sequence usually
+    wins at its first class.
+    """
+    hub_pos, rim_pos, _ = _wheel()
+    first = {d: degs.index(d) for d in degs}
+    rim_terms = [d for d in degs if d >= 3]
+    for hub in first:
+        if hub < 5:
+            break
+        pool = list(rim_terms)
+        pool.remove(hub)
+        seen = set()
+        for chosen in itertools.combinations(pool, len(rim_pos)):
+            if chosen in seen:
+                continue
+            seen.add(chosen)
+            for arr in _bracelets(tuple(map(chosen.index, chosen))):
+                used = {hub: 1}
+                place = [0] * (len(rim_pos) + 1)
+                place[hub_pos] = first[hub]
+                for pos, i in zip(rim_pos, arr):
+                    value = chosen[i]
+                    k = used.get(value, 0)
+                    used[value] = k + 1
+                    place[pos] = first[value] + k
+                yield place
 
 
 def _embed_and_extend(seq: DegreeSequence, budget: int) -> OracleVerdict:
     n = seq.n
     degs = seq.terms
-    pg = pattern_k6_c5().graph
-    pn = pg.n
+    edges = _wheel()[2]
     nodes = 0
-    if pn <= n:
-        copies = _pattern_copies(pg.rows)
-        max_pat_deg = max(r.bit_count() for r in pg.rows)
-        # subsets in decreasing degree-sum order: a witness tends to sit on
-        # the largest degrees, but every subset is tried, so the order is
-        # purely a heuristic and never costs completeness
-        subsets = sorted(
-            itertools.combinations(range(n), pn),
-            key=lambda T: (-sum(degs[t] for t in T), T),
+    for place in _placements(degs):
+        residual = list(degs)
+        forbidden = [0] * n
+        for a, b in edges:
+            u, v = place[a], place[b]
+            residual[u] -= 1
+            residual[v] -= 1
+            forbidden[u] |= 1 << v
+            forbidden[v] |= 1 << u
+        remaining = budget - nodes
+        if remaining <= 0:
+            raise BudgetExceededError(
+                f"node budget exhausted deciding ({seq})", seq.render(), nodes
+            )
+        _, used, complete, witness = kernels.search(
+            residual, forbidden, remaining, None, None, None, True
         )
-        for subset in subsets:
-            if degs[subset[0]] < max_pat_deg:
-                continue
-            for copy_rows, copy_degs in copies:
-                if any(degs[subset[s]] < copy_degs[s] for s in range(pn)):
-                    continue
-                residual = list(degs)
-                for s in range(pn):
-                    residual[subset[s]] -= copy_degs[s]
-                forbidden = [0] * n
-                for s in range(pn):
-                    mask = copy_rows[s]
-                    while mask:
-                        b = (mask & -mask).bit_length() - 1
-                        mask &= mask - 1
-                        forbidden[subset[s]] |= 1 << subset[b]
-                remaining = budget - nodes
-                if remaining <= 0:
-                    raise BudgetExceededError(
-                        f"node budget exhausted deciding ({seq})", seq.render(), nodes
-                    )
-                _, used, complete, witness = kernels.search(
-                    residual, forbidden, remaining, None, None, None, True
-                )
-                nodes += used
-                if witness is not None:
-                    return OracleVerdict(
-                        True, _combine(n, witness, subset, copy_rows),
-                        STRATEGY_EMBED, nodes,
-                    )
-                if not complete:
-                    raise BudgetExceededError(
-                        f"node budget exhausted deciding ({seq})", seq.render(), nodes
-                    )
+        nodes += used
+        if witness is not None:
+            # a row with no wheel edge keeps the kernel's int, so witnesses
+            # held by callers share it instead of copying it
+            rows = tuple(w | f if f else w for w, f in zip(witness, forbidden))
+            return OracleVerdict(True, Graph(n, rows), STRATEGY_EMBED, nodes)
+        if not complete:
+            raise BudgetExceededError(
+                f"node budget exhausted deciding ({seq})", seq.render(), nodes
+            )
     return OracleVerdict(False, None, STRATEGY_EMBED, nodes)
 
 

@@ -30,7 +30,7 @@ MAX_TERMS = 64
 _TERM_RE = re.compile(r"\s*(-?\d+)\s*(?:\^\s*(-?\d+)\s*)?")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class DegreeSequence:
     """Non-increasing sequence of nonnegative integers with cached sum."""
 

@@ -11,7 +11,6 @@ import json
 import os
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -145,10 +144,12 @@ def cross_validate(
     """
     start = time.perf_counter()
     cat = catalog or default_catalog()
+    if use_oracle and not 6 <= n <= 9:
+        raise DomainError(f"oracle surveys support 6 <= n <= 9, got n={n}")
     if not 6 <= n <= MAX_SURVEY_VERTICES:
-        raise DomainError(f"cross_validate supports 6 <= n <= 12, got n={n}")
-    if use_oracle and n > 9:
-        raise DomainError(f"oracle cross-validation supports 6 <= n <= 9, got n={n}")
+        raise DomainError(
+            f"surveys support 6 <= n <= {MAX_SURVEY_VERTICES}, got n={n}"
+        )
     if jobs < 1:
         raise DomainError(f"jobs must be >= 1, got {jobs}")
 
@@ -161,6 +162,9 @@ def cross_validate(
     if use_oracle:
         payload = [(e.terms, budget, strategy) for e in eval_seqs]
         if jobs > 1:
+            # imported here so that serial runs never load multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             # the default fork start method launches every worker at once
             workers = min(jobs, len(payload), os.cpu_count() or 1)
             with ProcessPoolExecutor(max_workers=workers) as pool:

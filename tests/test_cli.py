@@ -159,7 +159,10 @@ def test_sigma_command(capsys):
     code, out, _ = run(capsys, ["sigma", "--n", "6"])
     assert code == 0
     assert out.strip() == "26"
-    assert run(capsys, ["sigma", "--n", "5"])[0] == 2
+    for n in ("5", "10"):
+        code, _, err = run(capsys, ["sigma", "--n", n])
+        assert code == 2
+        assert err.strip() == f"error: oracle surveys support 6 <= n <= 9, got n={n}"
 
 
 def test_budget_flag(capsys):

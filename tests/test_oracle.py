@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 import helpers
@@ -10,7 +12,7 @@ from potgraph.errors import BudgetExceededError, DomainError, InternalCheckError
 from potgraph.graphs import Graph, contains_subgraph, degree_sequence_of, pattern_k6_c5
 from potgraph.oracle import STRATEGIES, STRATEGY_EMBED, OracleVerdict, oracle_potentially
 from potgraph.sequences import parse_sequence
-from potgraph.survey import sigma_empirical
+from potgraph.survey import cross_validate, enumerate_graphic_sequences, sigma_empirical
 
 
 POSITIVE_FIXTURES = ["5,3^5", "5^2,4^4", "6,3^6,2^2", "5^6"]
@@ -102,13 +104,78 @@ def test_sigma_empirical_base():
         sigma_empirical(10)
 
 
-def test_pattern_copy_count():
+# the wheel's rim in cycle order: consecutive entries are adjacent in the
+# pattern, so the wheel's 10 automorphisms act on it as rotations and
+# reflections
+RIM_CYCLE = (1, 3, 5, 2, 4)
+
+
+def _orbit_key(hub_value, rim_values):
+    turns = [rim_values[i:] + rim_values[:i] for i in range(5)]
+    return hub_value, min(turns + [t[::-1] for t in turns])
+
+
+def test_wheel_shape():
     rows = pattern_k6_c5().graph.rows
-    copies = oracle_mod._pattern_copies(rows)
-    assert len(copies) == 72
-    seen = set()
-    for crow, cdeg in copies:
-        assert sorted(r.bit_count() for r in crow) == [3, 3, 3, 3, 3, 5]
-        assert cdeg == tuple(r.bit_count() for r in crow)
-        seen.add(crow)
-    assert len(seen) == 72
+    hub, rim, edges = oracle_mod._wheel()
+    assert (hub, rim) == (0, RIM_CYCLE)
+    for i in range(5):
+        assert rows[RIM_CYCLE[i]] >> RIM_CYCLE[(i + 1) % 5] & 1
+    assert len(edges) == 10
+
+
+@pytest.mark.parametrize(
+    "text, classes",
+    [
+        ("11^3,3^9", 4),
+        ("9^3,3^7", 4),
+        ("10,8,3^7,2,1", 4),
+        ("7,6,5^2,4^2,3^3,2^2,1", 190),
+    ],
+)
+def test_placement_class_counts(text, classes):
+    assert sum(1 for _ in oracle_mod._placements(parse_sequence(text).terms)) == classes
+
+
+def test_placement_classes_cover_every_copy_once():
+    """Every degree-feasible (subset, labeled copy) pair has its value
+    assignment's D5 orbit hit by exactly one generated class."""
+    for n in range(6, 9):
+        for seq in enumerate_graphic_sequences(n):
+            terms = seq.terms
+            # an injective map of the wheel into the host, read as values:
+            # hub first, then the rim in cycle order
+            maps = set(itertools.permutations([d for d in terms if d >= 3], 6))
+            feasible = {_orbit_key(t[0], t[1:]) for t in maps if t[0] >= 5}
+            places = list(oracle_mod._placements(terms))
+            assert all(len(set(place)) == 6 for place in places)
+            generated = [
+                _orbit_key(terms[place[0]], tuple(terms[place[r]] for r in RIM_CYCLE))
+                for place in places
+            ]
+            assert len(generated) == len(set(generated)), seq
+            assert set(generated) == feasible, seq
+
+
+# closed form accepts, oracle refutes (perfbench/data/gaps_n10_n11.txt)
+GAPS_N10 = {
+    "9,8,3^6,2,1",
+    "9,6,3^5,2,1^2",
+    "8^2,5,3^5,1^2",
+    "8^2,3^4,2^4",
+    "8,7,3^5,2,1^2",
+}
+
+
+def test_embed_sweep_n10():
+    report = cross_validate(10, use_oracle=False)
+    potential = 0
+    gaps = set()
+    for record in report.records:
+        verdict = oracle_potentially(parse_sequence(record.sequence))
+        potential += verdict.potentially
+        if verdict.potentially != record.theorem_verdict:
+            gaps.add(record.sequence)
+            assert record.theorem_verdict, record.sequence
+    assert (potential, report.total_sequences) == (10499, 11655)
+    assert gaps == GAPS_N10

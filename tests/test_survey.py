@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import helpers
-import potgraph.survey as survey_mod
+import potgraph
 from potgraph.catalogs import load_catalog
 from potgraph.errors import DomainError
 from potgraph.survey import (
@@ -124,12 +128,31 @@ def test_jobs_are_capped_at_cpu_count(monkeypatch):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(survey_mod, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     capped = cross_validate(6, use_oracle=True, jobs=10**6)
     assert len(requested) == 1
     assert 1 <= requested[0] <= (os.cpu_count() or 1)
     serial = cross_validate(6, use_oracle=True, jobs=1)
     assert capped.records == serial.records
+
+
+def test_serial_runs_do_not_load_multiprocessing():
+    """Only a survey with jobs > 1 imports the process pool."""
+    src = str(Path(potgraph.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "from potgraph.cli import run_cli\n"
+        "for argv in (['check', '5,3^5'], ['oracle', '5,3^5', '--no-witness-file'],\n"
+        "             ['survey', '--n', '6', '--oracle']):\n"
+        "    assert run_cli(argv) == 0, argv\n"
+        "sys.exit('multiprocessing' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
 
 
 def test_determinism_across_runs():
