@@ -52,7 +52,6 @@ from .survey import (
     SurveyRecord,
     SurveyReport,
     cross_validate,
-    emit_report,
     enumerate_graphic_sequences,
     sigma_empirical,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "decompose_form",
     "default_catalog",
     "degree_sequence_of",
-    "emit_report",
     "enumerate_graphic_sequences",
     "extremal_sequence",
     "find_embedding",

@@ -1,5 +1,8 @@
 """Exception catalogs: packaged data files plus their provenance checksum.
 
+This module only loads and validates the lists; every rule that consults
+them lives in ``characterization``.
+
 Catalog file format: one degree sequence per line in exponent notation,
 ``#`` comments allowed. The default catalog ships inside the package; a
 directory passed to ``load_catalog`` must contain the same file names. Every
@@ -19,21 +22,10 @@ from typing import Mapping, Optional, Union
 from .errors import DomainError
 from .sequences import DegreeSequence, is_graphic_eg, parse_sequence
 
-__all__ = [
-    "FAMILY_KEYS",
-    "ExceptionCatalog",
-    "load_catalog",
-    "default_catalog",
-    "two_high_parametric_match",
-]
+__all__ = ["FAMILY_KEYS", "ExceptionCatalog", "load_catalog", "default_catalog"]
 
-# Family tags for the closed-form sequence families with known verdicts:
-#   quad5        (5^4, 4^(n-4)), n >= 6
-#   triple5      (5^3, 4^i, 3^j, 2^(n-3-i-j)), i+j >= 3
-#   double5      (5^2, 4^i, 3^j, 2^(n-2-i-j)), i+j >= 4
-#   single5      (5, 4^i, 3^j, 2^k, 1^(n-1-i-j-k)), i+j >= 5
-#   two_high     (d1, d2, 3^(n-2)), d1 >= 5, d2 >= 3
-#   five_threes  (d1, 3^5, 2^(n-6)), d1 >= 5
+# Family tags, one exception list each; the family shapes are written beside
+# the predicates of characterization.lemma_family_decide.
 FAMILY_KEYS = ("quad5", "triple5", "double5", "single5", "two_high", "five_threes")
 
 _FILES = {
@@ -42,73 +34,18 @@ _FILES = {
     **{key: f"family_{key}.txt" for key in FAMILY_KEYS},
 }
 
-# Descriptors (threes, min_n) for the parametric condition-(7) families
-# (n-1, 3^threes, 1^(n-1-threes)) with n >= min_n.
-COND7_PARAMETRIC: tuple[tuple[int, int], ...] = ((6, 7), (7, 8))
+Terms = frozenset[tuple[int, ...]]
 
 
 @dataclass(frozen=True, eq=False)
 class ExceptionCatalog:
-    """Immutable bundle of every exception list the decision theory uses."""
+    """Every exception list the decision theory uses, as sets of term tuples,
+    so a membership test reads ``seq.terms in catalog.thm7_fixed``."""
 
-    set_s: tuple[DegreeSequence, ...]
-    thm7_fixed: tuple[DegreeSequence, ...]
-    thm7_parametric: tuple[tuple[int, int], ...]
-    lemma_exceptions: Mapping[str, tuple[DegreeSequence, ...]]
+    set_s: Terms
+    thm7_fixed: Terms
+    lemma_exceptions: Mapping[str, Terms]
     checksum: str
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_set_s_keys", frozenset(s.terms for s in self.set_s)
-        )
-        object.__setattr__(
-            self, "_cond7_keys", frozenset(s.terms for s in self.thm7_fixed)
-        )
-        object.__setattr__(
-            self,
-            "_family_keys",
-            {
-                key: frozenset(s.terms for s in entries)
-                for key, entries in self.lemma_exceptions.items()
-            },
-        )
-
-    def in_set_s(self, seq: DegreeSequence) -> bool:
-        return seq.terms in self._set_s_keys
-
-    def in_cond7_fixed(self, seq: DegreeSequence) -> bool:
-        return seq.terms in self._cond7_keys
-
-    def cond7_parametric_match(self, seq: DegreeSequence) -> bool:
-        n = seq.n
-        for threes, min_n in self.thm7_parametric:
-            if n >= min_n and seq.terms == (n - 1,) + (3,) * threes + (1,) * (
-                n - 1 - threes
-            ):
-                return True
-        return False
-
-    def in_family_exceptions(self, key: str, seq: DegreeSequence) -> bool:
-        return seq.terms in self._family_keys[key]
-
-
-def two_high_parametric_match(seq: DegreeSequence) -> bool:
-    """Parametric exceptions of the (d1,d2,3^(n-2)) family.
-
-    ((n-1)^2,3^(n-2)) and ((n-2)^2,3^(n-2)) for even n >= 7 (at odd n those
-    sums are odd, so the cases are vacuous), and (n-1,n-2,3^(n-2)) for odd
-    n >= 7.
-    """
-    t = seq.terms
-    n = seq.n
-    tail = (3,) * (n - 2)
-    if n >= 7 and n % 2 == 0:
-        if t == (n - 1, n - 1) + tail or t == (n - 2, n - 2) + tail:
-            return True
-    if n >= 7 and n % 2 == 1:
-        if t == (n - 1, n - 2) + tail:
-            return True
-    return False
 
 
 def _read_entries(text: str, filename: str) -> tuple[DegreeSequence, ...]:
@@ -179,11 +116,11 @@ def load_catalog(directory: Optional[Union[str, Path]] = None) -> ExceptionCatal
             raise DomainError(
                 f"{_FILES['cond7_fixed']}: entry ({seq}) is not graphic"
             )
+    terms = {key: frozenset(seq.terms for seq in seqs) for key, seqs in parts.items()}
     return ExceptionCatalog(
-        set_s=parts["set_s"],
-        thm7_fixed=parts["cond7_fixed"],
-        thm7_parametric=COND7_PARAMETRIC,
-        lemma_exceptions={key: parts[key] for key in FAMILY_KEYS},
+        set_s=terms["set_s"],
+        thm7_fixed=terms["cond7_fixed"],
+        lemma_exceptions={key: terms[key] for key in FAMILY_KEYS},
         checksum=_checksum(parts),
     )
 

@@ -1,12 +1,15 @@
 """Closed-form decisions: is a graphic sequence potentially wheel-graphic?
 
-The central evaluator, ``theorem31_decide``, applies a seven-condition
-characterization to a positive graphic sequence with n >= 6 and reports which
-clause (if any) rules the sequence out. ``lemma_family_decide`` answers the
-same question on six closed sequence families via exception catalogs,
-providing an independent decision path on its domain, and
+This module owns every rule of the decision procedure; ``catalogs`` only
+loads the exception lists the rules consult. ``theorem31_decide`` applies the
+seven conditions over the shape (d1..dm, 3^i, 2^j, 1^k) to a positive graphic
+sequence with n >= 6 and reports which clause (if any) rules it out; clause
+(7) joins the catalog's fixed list with two parametric families defined here.
+``lemma_family_decide`` answers the same question on six closed sequence
+families from their exception lists (plus the parametric two_high
+exceptions), an independent decision path on its domain, and
 ``is_graphic_via_lemma26`` decides plain graphicality for small-term
-sequences by table lookup.
+sequences by lookup in the exception set S.
 """
 
 from __future__ import annotations
@@ -14,11 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .catalogs import (
-    ExceptionCatalog,
-    default_catalog,
-    two_high_parametric_match,
-)
+from .catalogs import ExceptionCatalog, default_catalog
 from .errors import DomainError, InternalCheckError
 from .sequences import DegreeSequence, is_graphic_eg
 
@@ -121,7 +120,7 @@ def in_exception_set_s(
         raise DomainError(
             f"set-S membership is defined only for terms in {{1,2,3,4}}, got ({seq})"
         )
-    return (catalog or default_catalog()).in_set_s(seq)
+    return seq.terms in (catalog or default_catalog()).set_s
 
 
 def is_graphic_via_lemma26(
@@ -140,10 +139,22 @@ def is_graphic_via_lemma26(
     return not in_exception_set_s(seq, catalog)
 
 
+# Clause (7)'s parametric families (n-1, 3^threes, 1^(n-1-threes)) with
+# n >= min_n, as (threes, min_n).
+COND7_PARAMETRIC: tuple[tuple[int, int], ...] = ((6, 7), (7, 8))
+
+
+def cond7_parametric_match(seq: DegreeSequence) -> bool:
+    """Is seq a member of a clause-(7) parametric family?"""
+    n = seq.n
+    return any(
+        n >= min_n and seq.terms == (n - 1,) + (3,) * threes + (1,) * (n - 1 - threes)
+        for threes, min_n in COND7_PARAMETRIC
+    )
+
+
 def theorem31_decide(
-    seq: DegreeSequence,
-    catalog: Optional[ExceptionCatalog] = None,
-    alternative_5i: bool = False,
+    seq: DegreeSequence, catalog: Optional[ExceptionCatalog] = None
 ) -> ConditionReport:
     """Decide potential wheel-graphicality via the seven-condition test.
 
@@ -152,13 +163,6 @@ def theorem31_decide(
     three terms above 3). Every applicable condition must hold; the report
     records the first failing clause in CLAUSE_IDS order and all matched
     form guards among conditions (2)-(5).
-
-    ``alternative_5i`` switches clause (5)(i) from the default guard
-    (n >= i+1) AND (j >= 2 or j = 0) AND (d1 >= i+j) to the other reading of
-    its comma list, ((n >= i+1 and j >= 2) OR (j = 0 and d1 >= i+j)); the two
-    are extensionally equivalent (the bound cannot be violated when d1 < i+j
-    because d1+d2 <= 2(i+j)-2 < n+i+j-2), and the test suite checks that
-    they agree on every graphic sequence with 6 <= n <= 10.
 
     Raises:
         DomainError: n < 6, zero terms, or seq not graphic.
@@ -223,11 +227,16 @@ def theorem31_decide(
     if len(head) == 2 and head[1] >= 5 and i >= 5:
         matched.append("5")
         d1, d2 = head
-        if alternative_5i:
-            guard_5i = (n >= i + 1 and j >= 2) or (j == 0 and d1 >= i + j)
-        else:
-            guard_5i = n >= i + 1 and (j >= 2 or j == 0) and d1 >= i + j
-        if guard_5i and d1 + d2 > n + i + j - 2:
+        # The paper's comma list also reads as ((n >= i+1 and j >= 2) or
+        # (j = 0 and d1 >= i+j)). Both readings fail the same sequences: when
+        # d1 < i+j, d1+d2 <= 2(i+j)-2 < n+i+j-2, so the bound cannot fail,
+        # and n >= i+1 always holds since n >= i+2 here.
+        if (
+            n >= i + 1
+            and (j >= 2 or j == 0)
+            and d1 >= i + j
+            and d1 + d2 > n + i + j - 2
+        ):
             failures.append("5i")
         if d1 == i + j + 1 and d1 >= n - 2 and d2 > n - 3:
             failures.append("5ii")
@@ -239,13 +248,30 @@ def theorem31_decide(
         failures.append("6")
 
     # (7) fixed exception list, then the two parametric families
-    if cat.in_cond7_fixed(seq):
+    if d in cat.thm7_fixed:
         failures.append("7-fixed")
-    if cat.cond7_parametric_match(seq):
+    if cond7_parametric_match(seq):
         failures.append("7-parametric")
 
     failing = min(failures, key=CLAUSE_IDS.index) if failures else None
     return ConditionReport(seq, not failures, tuple(matched), failing, form)
+
+
+def two_high_parametric_match(seq: DegreeSequence) -> bool:
+    """Parametric exceptions of the two_high family (d1, d2, 3^(n-2)).
+
+    ((n-1)^2, 3^(n-2)) and ((n-2)^2, 3^(n-2)) for even n >= 7, and
+    (n-1, n-2, 3^(n-2)) for odd n >= 7; at the other parity each of these
+    shapes has an odd sum.
+    """
+    t = seq.terms
+    n = seq.n
+    if n < 7:
+        return False
+    tail = (3,) * (n - 2)
+    if n % 2 == 0:
+        return t == (n - 1, n - 1) + tail or t == (n - 2, n - 2) + tail
+    return t == (n - 1, n - 2) + tail
 
 
 def lemma_family_decide(
@@ -260,7 +286,8 @@ def lemma_family_decide(
     corruption.
 
     Raises:
-        DomainError: zero terms, n < 6, or odd sum.
+        DomainError: zero terms, n < 6, odd sum, or a family member that is
+            not graphic.
         InternalCheckError: overlapping families disagree.
     """
     cat = catalog or default_catalog()
@@ -272,33 +299,42 @@ def lemma_family_decide(
         raise DomainError(f"({seq}) has odd sum, so it is not graphic")
 
     t = seq.terms
-    n = seq.n
+    listed = cat.lemma_exceptions
     verdicts: dict[str, bool] = {}
 
+    # quad5: (5^4, 4^(n-4))
     if t[:4] == (5, 5, 5, 5) and all(x == 4 for x in t[4:]):
-        verdicts["quad5"] = not cat.in_family_exceptions("quad5", seq)
+        verdicts["quad5"] = t not in listed["quad5"]
 
+    # triple5: (5^3, 4^i, 3^j, 2^(n-3-i-j)), i+j >= 3
     if t[:3] == (5, 5, 5) and all(x in (4, 3, 2) for x in t[3:]):
         if t.count(4) + t.count(3) >= 3:
-            verdicts["triple5"] = not cat.in_family_exceptions("triple5", seq)
+            verdicts["triple5"] = t not in listed["triple5"]
 
+    # double5: (5^2, 4^i, 3^j, 2^(n-2-i-j)), i+j >= 4
     if t[:2] == (5, 5) and all(x in (4, 3, 2) for x in t[2:]):
         if t.count(4) + t.count(3) >= 4:
-            verdicts["double5"] = not cat.in_family_exceptions("double5", seq)
+            verdicts["double5"] = t not in listed["double5"]
 
+    # single5: (5, 4^i, 3^j, 2^k, 1^(n-1-i-j-k)), i+j >= 5
     if t[0] == 5 and all(x in (4, 3, 2, 1) for x in t[1:]):
         if t.count(4) + t.count(3) >= 5:
-            verdicts["single5"] = not cat.in_family_exceptions("single5", seq)
+            verdicts["single5"] = t not in listed["single5"]
 
+    # two_high: (d1, d2, 3^(n-2)), d1 >= 5, d2 >= 3
     if t[0] >= 5 and t[1] >= 3 and all(x == 3 for x in t[2:]):
-        excluded = cat.in_family_exceptions("two_high", seq) or two_high_parametric_match(seq)
+        excluded = t in listed["two_high"] or two_high_parametric_match(seq)
         verdicts["two_high"] = not excluded
 
+    # five_threes: (d1, 3^5, 2^(n-6)), d1 >= 5
     if t[0] >= 5 and t[1:6] == (3, 3, 3, 3, 3) and all(x == 2 for x in t[6:]):
-        verdicts["five_threes"] = not cat.in_family_exceptions("five_threes", seq)
+        verdicts["five_threes"] = t not in listed["five_threes"]
 
     if not verdicts:
         return None
+    # family shapes admit terms >= n, so graphicality is checked on members only
+    if not is_graphic_eg(seq):
+        raise DomainError(f"({seq}) is not graphic")
     values = set(verdicts.values())
     if len(values) > 1:
         raise InternalCheckError(

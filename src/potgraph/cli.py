@@ -18,7 +18,7 @@ from .errors import BudgetExceededError, DomainError, InternalCheckError, Potgra
 from .graphs import havel_hakimi_realize
 from .oracle import DEFAULT_BUDGET, STRATEGIES, STRATEGY_EMBED, oracle_potentially
 from .sequences import is_graphic_eg, is_graphic_kw, parse_sequence
-from .survey import cross_validate, emit_report, sigma_empirical
+from .survey import cross_validate, render_report, sigma_empirical
 
 __all__ = ["build_parser", "run_cli", "main"]
 
@@ -69,11 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="closed-form feasibility verdict with trace")
     p.add_argument("sequence")
-    p.add_argument(
-        "--alternative-5i",
-        action="store_true",
-        help="use the alternative reading of clause (5)(i)",
-    )
 
     p = sub.add_parser("oracle", help="exhaustive-search verdict plus witness file")
     p.add_argument("sequence")
@@ -119,6 +114,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def _cmd_graphic(args, catalog, budget) -> int:
     seq = parse_sequence(args.sequence)
     eg = is_graphic_eg(seq)
@@ -133,7 +133,7 @@ def _cmd_graphic(args, catalog, budget) -> int:
 
 def _cmd_check(args, catalog, budget) -> int:
     seq = parse_sequence(args.sequence)
-    report = theorem31_decide(seq, catalog, alternative_5i=args.alternative_5i)
+    report = theorem31_decide(seq, catalog)
     print(json.dumps(report.to_dict(), indent=2))
     return EXIT_OK
 
@@ -144,8 +144,7 @@ def _cmd_oracle(args, catalog, budget) -> int:
     witness_file: Optional[str] = None
     if verdict.potentially and not args.no_witness_file:
         witness_file = args.witness or f"witness_{seq.render()}.txt"
-        with open(witness_file, "w", encoding="utf-8") as fh:
-            fh.write(verdict.witness.to_text())
+        _write(witness_file, verdict.witness.to_text())
     print(
         json.dumps(
             {
@@ -174,8 +173,7 @@ def _cmd_realize(args, catalog, budget) -> int:
         graph = havel_hakimi_realize(seq)
     text = graph.to_text()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.out, text)
     else:
         print(text, end="")
     return EXIT_OK
@@ -191,10 +189,11 @@ def _cmd_survey(args, catalog, budget) -> int:
         jobs=args.jobs,
         allow_zeros=args.allow_zeros,
     )
-    text = emit_report(report, args.format, args.out)
+    text = render_report(report, args.format)
     if args.out is None:
         print(text, end="")
     else:
+        _write(args.out, text)
         print(f"report written to {args.out}")
     return EXIT_DISCREPANCY if report.discrepancies else EXIT_OK
 

@@ -237,8 +237,16 @@ def find_embedding(
     The embedding maps pattern vertex p to host vertex ``result[p]`` and
     preserves adjacency (the copy need not be induced). Deterministic: the
     same host and pattern always give the same embedding.
+
+    Raises:
+        DomainError: the pattern has more than MAX_SEARCH_VERTICES vertices
+            (the compiled kernel's fixed arrays hold no more).
     """
     pg = _pattern_graph(pattern)
+    if pg.n > kernels.MAX_SEARCH_VERTICES:
+        raise DomainError(
+            f"patterns are limited to {kernels.MAX_SEARCH_VERTICES} vertices, got {pg.n}"
+        )
     return kernels.find_embedding(
         host.rows, pg.rows, _embedding_order(pg.rows)
     )

@@ -7,11 +7,12 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import os
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 from .catalogs import ExceptionCatalog, default_catalog
@@ -27,22 +28,10 @@ __all__ = [
     "cross_validate",
     "sigma_empirical",
     "render_report",
-    "emit_report",
     "parse_survey_csv",
 ]
 
 MAX_SURVEY_VERTICES = 12
-
-_CSV_COLUMNS = (
-    "sequence",
-    "n",
-    "sigma",
-    "theorem_verdict",
-    "failing_clause",
-    "oracle_verdict",
-    "lemma_verdict",
-    "agree",
-)
 
 
 @dataclass(frozen=True)
@@ -96,21 +85,13 @@ def enumerate_graphic_sequences(
         )
     low = 1 if positive_only else 0
     out: list[DegreeSequence] = []
-    prefix: list[int] = []
-
-    def gen(remaining: int, mx: int, total: int) -> None:
-        if remaining == 0:
-            if total % 2 == 0:
-                seq = DegreeSequence(tuple(prefix))
-                if is_graphic_eg(seq):
-                    out.append(seq)
-            return
-        for v in range(mx, low - 1, -1):
-            prefix.append(v)
-            gen(remaining - 1, v, total + v)
-            prefix.pop()
-
-    gen(n, n - 1, 0)
+    # combinations of a decreasing range come out non-increasing and in
+    # lexicographically decreasing order
+    for terms in itertools.combinations_with_replacement(range(n - 1, low - 1, -1), n):
+        if sum(terms) % 2 == 0:
+            seq = DegreeSequence(terms)
+            if is_graphic_eg(seq):
+                out.append(seq)
     return out
 
 
@@ -243,33 +224,6 @@ def sigma_empirical(
     return sigma
 
 
-def _record_dict(record: SurveyRecord) -> dict:
-    return {
-        "sequence": record.sequence,
-        "n": record.n,
-        "sigma": record.sigma,
-        "theorem_verdict": record.theorem_verdict,
-        "failing_clause": record.failing_clause,
-        "oracle_verdict": record.oracle_verdict,
-        "lemma_verdict": record.lemma_verdict,
-        "agree": record.agree,
-    }
-
-
-def _report_dict(report: SurveyReport) -> dict:
-    return {
-        "n": report.n,
-        "total_sequences": report.total_sequences,
-        "potential_count": report.potential_count,
-        "discrepancies": [_record_dict(r) for r in report.discrepancies],
-        "sigma_empirical": report.sigma_empirical,
-        "sigma_formula": report.sigma_formula,
-        "catalog_checksum": report.catalog_checksum,
-        "runtime": report.runtime,
-        "records": [_record_dict(r) for r in report.records],
-    }
-
-
 def _csv_cell(value) -> str:
     if value is None:
         return ""
@@ -278,43 +232,36 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+# inverse of _csv_cell, keyed by the SurveyRecord field annotations
+_CELL_PARSERS = {
+    "str": str,
+    "int": int,
+    "bool": lambda cell: cell == "true",
+    "Optional[str]": lambda cell: cell or None,
+    "Optional[bool]": lambda cell: None if cell == "" else cell == "true",
+}
+
+
 def render_report(report: SurveyReport, format: str = "json") -> str:
     """Serialize a report; field order is fixed, so output is reproducible
     byte for byte apart from the runtime value."""
     if format == "json":
-        return json.dumps(_report_dict(report), indent=2) + "\n"
+        return json.dumps(asdict(report), indent=2) + "\n"
     if format == "csv":
         buf = io.StringIO()
-        meta = _report_dict(report)
-        for key in (
-            "n",
-            "total_sequences",
-            "potential_count",
-            "sigma_empirical",
-            "sigma_formula",
-            "catalog_checksum",
-            "runtime",
-        ):
-            buf.write(f"# {key}={_csv_cell(meta[key])}\n")
+        # the scalar report fields, in declaration order, head the file
+        for field in fields(report):
+            value = getattr(report, field.name)
+            if not isinstance(value, tuple):
+                buf.write(f"# {field.name}={_csv_cell(value)}\n")
         buf.write(f"# discrepancy_count={len(report.discrepancies)}\n")
+        columns = [field.name for field in fields(SurveyRecord)]
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_CSV_COLUMNS)
+        writer.writerow(columns)
         for record in report.records:
-            rd = _record_dict(record)
-            writer.writerow([_csv_cell(rd[col]) for col in _CSV_COLUMNS])
+            writer.writerow([_csv_cell(getattr(record, col)) for col in columns])
         return buf.getvalue()
     raise DomainError(f"unknown report format {format!r}; use json or csv")
-
-
-def emit_report(
-    report: SurveyReport, format: str = "json", path: Optional[str] = None
-) -> str:
-    """Render and optionally write a report; returns the rendered text."""
-    text = render_report(report, format)
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
 
 
 def parse_survey_csv(text: str) -> tuple[dict, list[SurveyRecord]]:
@@ -327,18 +274,10 @@ def parse_survey_csv(text: str) -> tuple[dict, list[SurveyRecord]]:
             meta[key] = value
         else:
             body.append(line)
-    records = []
-    for row in csv.DictReader(body):
-        records.append(
-            SurveyRecord(
-                sequence=row["sequence"],
-                n=int(row["n"]),
-                sigma=int(row["sigma"]),
-                theorem_verdict=None if row["theorem_verdict"] == "" else row["theorem_verdict"] == "true",
-                failing_clause=row["failing_clause"] or None,
-                oracle_verdict=None if row["oracle_verdict"] == "" else row["oracle_verdict"] == "true",
-                lemma_verdict=None if row["lemma_verdict"] == "" else row["lemma_verdict"] == "true",
-                agree=row["agree"] == "true",
-            )
+    records = [
+        SurveyRecord(
+            **{f.name: _CELL_PARSERS[f.type](row[f.name]) for f in fields(SurveyRecord)}
         )
+        for row in csv.DictReader(body)
+    ]
     return meta, records

@@ -50,7 +50,6 @@ def criterion(number: int, label: str):
 class SweepRow:
     seq: DegreeSequence
     theorem: bool
-    alternative: bool
     lemma: Optional[bool]
     oracle: OracleVerdict
 
@@ -73,7 +72,6 @@ def sweeps() -> dict[int, Sweep]:
                 SweepRow(
                     seq=seq,
                     theorem=theorem31_decide(seq).verdict,
-                    alternative=theorem31_decide(seq, alternative_5i=True).verdict,
                     lemma=lemma_family_decide(seq),
                     oracle=oracle_potentially(seq),
                 )
@@ -129,7 +127,6 @@ def test_criterion_02_theorem_matches_oracle(sweeps, full_strategy_verdicts):
             sweep = sweeps[n]
             for row in sweep.rows:
                 assert row.theorem == row.oracle.potentially, row.seq
-                assert row.alternative == row.oracle.potentially, row.seq
                 full = full_strategy_verdicts[n][row.seq.terms]
                 assert full.potentially == row.oracle.potentially, row.seq
             assert sweep.seconds < 300.0, f"n={n} sweep took {sweep.seconds:.1f}s"

@@ -1,12 +1,13 @@
-"""Exception catalog loading, validation, membership helpers."""
+"""Exception catalog loading and validation, and the parametric exception
+rules that sit beside the catalog lists."""
 
 from __future__ import annotations
 
 import pytest
 
-from potgraph.catalogs import (
-    FAMILY_KEYS,
-    load_catalog,
+from potgraph.catalogs import FAMILY_KEYS, load_catalog
+from potgraph.characterization import (
+    cond7_parametric_match,
     two_high_parametric_match,
 )
 from potgraph.errors import DomainError
@@ -16,7 +17,8 @@ from potgraph.sequences import parse_sequence
 def test_default_catalog_shape(catalog):
     assert len(catalog.set_s) == 40
     assert len(catalog.thm7_fixed) == 26
-    assert catalog.thm7_parametric == ((6, 7), (7, 8))
+    assert isinstance(catalog.set_s, frozenset)
+    assert isinstance(catalog.thm7_fixed, frozenset)
     assert set(catalog.lemma_exceptions) == set(FAMILY_KEYS)
     sizes = {k: len(v) for k, v in catalog.lemma_exceptions.items()}
     assert sizes == {
@@ -27,8 +29,9 @@ def test_default_catalog_shape(catalog):
         "two_high": 9,
         "five_threes": 2,
     }
-    assert catalog.checksum.startswith("sha256:")
-    assert len(catalog.checksum) == len("sha256:") + 64
+    assert catalog.checksum == (
+        "sha256:7932f0e0aa20144a474c67b270a8fe5441769a989fbc2167d0b9688ba8337784"
+    )
 
 
 def test_checksum_is_stable(catalog):
@@ -38,22 +41,26 @@ def test_checksum_is_stable(catalog):
     assert again.thm7_fixed == catalog.thm7_fixed
 
 
+def terms(text):
+    return parse_sequence(text).terms
+
+
 def test_set_s_membership(catalog):
-    assert catalog.in_set_s(parse_sequence("2"))
-    assert catalog.in_set_s(parse_sequence("3,3,1,1"))
-    assert catalog.in_set_s(parse_sequence("4^2"))
-    assert catalog.in_set_s(parse_sequence("4^4,2"))
-    assert not catalog.in_set_s(parse_sequence("1,1"))
-    assert not catalog.in_set_s(parse_sequence("4,3,3,2,1,1"))
+    assert terms("2") in catalog.set_s
+    assert terms("3,3,1,1") in catalog.set_s
+    assert terms("4^2") in catalog.set_s
+    assert terms("4^4,2") in catalog.set_s
+    assert terms("1,1") not in catalog.set_s
+    assert terms("4,3,3,2,1,1") not in catalog.set_s
 
 
 def test_cond7_membership(catalog):
-    assert catalog.in_cond7_fixed(parse_sequence("5,4,3^5"))
-    assert catalog.in_cond7_fixed(parse_sequence("6^2,3^4,2"))
+    assert terms("5,4,3^5") in catalog.thm7_fixed
+    assert terms("6^2,3^4,2") in catalog.thm7_fixed
     # documented catalog corrections are ordinary entries
     for text in ["6,3^6,2", "6^2,3^4,2^2", "7^2,3^4,2^3", "8,6,3^5,2,1"]:
-        assert catalog.in_cond7_fixed(parse_sequence(text)), text
-    assert not catalog.in_cond7_fixed(parse_sequence("5,3^5"))
+        assert terms(text) in catalog.thm7_fixed, text
+    assert terms("5,3^5") not in catalog.thm7_fixed
 
 
 @pytest.mark.parametrize(
@@ -71,8 +78,8 @@ def test_cond7_membership(catalog):
         ("7,3^6", False),
     ],
 )
-def test_cond7_parametric_match(catalog, text, expected):
-    assert catalog.cond7_parametric_match(parse_sequence(text)) is expected
+def test_cond7_parametric_match(text, expected):
+    assert cond7_parametric_match(parse_sequence(text)) is expected
 
 
 @pytest.mark.parametrize(
@@ -93,10 +100,11 @@ def test_two_high_parametric_match(text, expected):
 
 
 def test_family_exception_membership(catalog):
-    assert catalog.in_family_exceptions("triple5", parse_sequence("5^3,3^3"))
-    assert catalog.in_family_exceptions("single5", parse_sequence("5,3^7"))
-    assert not catalog.in_family_exceptions("single5", parse_sequence("5,3^5"))
-    assert not catalog.in_family_exceptions("quad5", parse_sequence("5^4,4^2"))
+    listed = catalog.lemma_exceptions
+    assert terms("5^3,3^3") in listed["triple5"]
+    assert terms("5,3^7") in listed["single5"]
+    assert terms("5,3^5") not in listed["single5"]
+    assert terms("5^4,4^2") not in listed["quad5"]
 
 
 def test_load_from_directory_matches_packaged(catalog, catalog_dir):

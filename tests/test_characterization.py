@@ -167,11 +167,22 @@ def test_corrections_live_in_the_catalog_not_the_code(catalog_dir):
 
 
 def test_alternative_5i_reading_is_extensionally_equal():
+    """Clause (5)(i)'s comma list also reads as ((n >= i+1 and j >= 2) or
+    (j = 0 and d1 >= i+j)); the implemented guard must fail exactly the
+    sequences that reading fails. In the clause-(5) shape no earlier clause
+    can fail, so 5i is reported whenever it fails."""
+    shaped = 0
     for n in range(6, 11):
         for seq in enumerate_graphic_sequences(n):
-            default = theorem31_decide(seq)
-            alternative = theorem31_decide(seq, alternative_5i=True)
-            assert default.verdict == alternative.verdict, seq
+            form = decompose_form(seq)
+            if not (len(form.head) == 2 and form.head[1] >= 5 and form.i >= 5):
+                continue
+            shaped += 1
+            (d1, d2), i, j = form.head, form.i, form.j
+            alternative = (n >= i + 1 and j >= 2) or (j == 0 and d1 >= i + j)
+            fails = alternative and d1 + d2 > n + i + j - 2
+            assert (theorem31_decide(seq).failing_clause == "5i") == fails, seq
+    assert shaped > 0
 
 
 FAMILY_TABLE = [
@@ -212,6 +223,10 @@ def test_lemma_family_domain_errors():
         lemma_family_decide(parse_sequence("5,3^3"))  # n < 6
     with pytest.raises(DomainError):
         lemma_family_decide(parse_sequence("5,3^4"))  # odd sum
+    # family members with a term >= n: even sum, yet not graphic
+    for text in ("7,3^5", "9,3^5,2^2"):
+        with pytest.raises(DomainError):
+            lemma_family_decide(parse_sequence(text))
 
 
 def test_lemma_family_conflict_detection(catalog_dir):

@@ -53,9 +53,14 @@ def test_check_command(capsys):
     data = json.loads(out)
     assert data["verdict"] is False
     assert data["failing_clause"] == "2"
-    code, out, _ = run(capsys, ["check", "5,3^5", "--alternative-5i"])
+    code, out, _ = run(capsys, ["check", "5,3^5"])
     assert code == 0
     assert json.loads(out)["verdict"] is True
+    # clause (5)(i) has one reading, so there is no switch for another
+    code, _, err = run(capsys, ["check", "5,3^5", "--alternative-5i"])
+    assert code == 1
+    assert err.startswith("error:")
+    assert len(err.splitlines()) == 1
 
 
 def test_check_errors(capsys):

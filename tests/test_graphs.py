@@ -140,3 +140,14 @@ def test_embedding_accepts_plain_graphs():
     mapping = find_embedding(host, triangle)
     assert mapping is not None
     assert not contains_subgraph(Graph.from_edges(3, [(0, 1), (1, 2)]), triangle)
+
+
+def test_embedding_rejects_patterns_past_the_kernel_cap():
+    """Both kernels agree only up to 16 pattern vertices; past that the
+    search is refused before either kernel runs."""
+    assert contains_subgraph(Graph.complete(16), Graph.complete(16))
+    for host in (Graph.complete(17), Graph.complete(10)):
+        with pytest.raises(DomainError):
+            find_embedding(host, Graph.complete(17))
+        with pytest.raises(DomainError):
+            contains_subgraph(host, Graph.complete(17))
