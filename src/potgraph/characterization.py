@@ -101,11 +101,10 @@ def decompose_form(seq: DegreeSequence) -> FormDescriptor:
     """
     if seq.n and seq.terms[-1] == 0:
         raise DomainError("decomposition needs positive terms; use strip_zeros() first")
-    head = tuple(t for t in seq.terms if t > 3)
-    i = sum(1 for t in seq.terms if t == 3)
-    j = sum(1 for t in seq.terms if t == 2)
-    k = sum(1 for t in seq.terms if t == 1)
-    return FormDescriptor(head, i, j, k, seq.n)
+    terms = seq.terms
+    i, j, k = terms.count(3), terms.count(2), terms.count(1)
+    # the terms are non-increasing, so those above 3 come first
+    return FormDescriptor(terms[: seq.n - i - j - k], i, j, k, seq.n)
 
 
 def in_exception_set_s(

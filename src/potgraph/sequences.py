@@ -131,18 +131,32 @@ def is_graphic_eg(seq: DegreeSequence) -> bool:
     seq is graphic iff its sum is even and for every k in 1..n
     ``sum(d[:k]) <= k(k-1) + sum(min(d_i, k) for i > k)``.
     The empty sequence is graphic (empty graph).
+
+    One O(n) pass. A term d_1 >= n is rejected at once. While d_k >= k, a
+    pointer p = #{i : d_i >= k} (so p >= k) splits the right-hand sum into
+    ``(p - k) * k + sum(d_i for i > p)``, and the tail sum grows as p falls.
+    The pass stops at the first k with d_k < k: from there on every term is
+    at most k - 1, each step adds 2(k - 1 - d_k) >= 0 to the slack, and no
+    later inequality can fail.
     """
     d = seq.terms
     n = len(d)
     if n == 0:
         return True
-    if seq.sigma % 2:
+    if seq.sigma % 2 or d[0] >= n:
         return False
     prefix = 0
+    p = n
+    tail = 0
     for k in range(1, n + 1):
-        prefix += d[k - 1]
-        bound = k * (k - 1) + sum(min(x, k) for x in d[k:])
-        if prefix > bound:
+        dk = d[k - 1]
+        if dk < k:
+            break
+        prefix += dk
+        while d[p - 1] < k:
+            p -= 1
+            tail += d[p]
+        if prefix > k * (k - 1) + (p - k) * k + tail:
             return False
     return True
 

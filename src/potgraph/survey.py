@@ -12,7 +12,7 @@ import json
 import os
 import time
 import warnings
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .catalogs import ExceptionCatalog, default_catalog
@@ -246,7 +246,9 @@ def render_report(report: SurveyReport, format: str = "json") -> str:
     """Serialize a report; field order is fixed, so output is reproducible
     byte for byte apart from the runtime value."""
     if format == "json":
-        return json.dumps(asdict(report), indent=2) + "\n"
+        # the report and record classes have no __slots__, so vars() gives
+        # their fields in declaration order, as asdict would
+        return json.dumps(report, indent=2, default=vars) + "\n"
     if format == "csv":
         buf = io.StringIO()
         # the scalar report fields, in declaration order, head the file

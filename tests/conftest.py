@@ -11,6 +11,23 @@ from potgraph.catalogs import load_catalog
 from potgraph.graphs import pattern_k6_c5
 
 
+def _kernel_line() -> str:
+    from potgraph import kernels
+
+    return f"potgraph kernel: {kernels.implementation} ({kernels._impl.__file__})"
+
+
+# A stray compiled build on the path runs the compiled-kernel tests that
+# otherwise skip, so every run names its kernel: in the header, and in the
+# summary, which -q still prints.
+def pytest_report_header(config):
+    return _kernel_line()
+
+
+def pytest_terminal_summary(terminalreporter):
+    terminalreporter.write_line(_kernel_line())
+
+
 @pytest.fixture(scope="session")
 def catalog():
     return load_catalog()

@@ -21,8 +21,11 @@ WHEEL_EDGES: tuple[tuple[int, int], ...] = tuple(
 )
 
 
-def all_degree_vectors(n: int) -> Iterator[tuple[int, ...]]:
-    """Every non-increasing degree vector of length n with entries in 0..n-1."""
+def all_degree_vectors(
+    n: int, top: Optional[int] = None
+) -> Iterator[tuple[int, ...]]:
+    """Every non-increasing vector of length n with entries in 0..top
+    (default n-1, the largest degree a simple graph on n vertices allows)."""
 
     def rec(prefix: list[int], remaining: int, cap: int) -> Iterator[tuple[int, ...]]:
         if remaining == 0:
@@ -36,7 +39,7 @@ def all_degree_vectors(n: int) -> Iterator[tuple[int, ...]]:
     if n == 0:
         yield ()
         return
-    yield from rec([], n, n - 1)
+    yield from rec([], n, n - 1 if top is None else top)
 
 
 def brute_force_realizations(

@@ -132,8 +132,9 @@ def test_empty_sequence_is_graphic():
 
 
 def test_eg_matches_kw_exhaustively():
-    for n in range(1, 8):
-        for terms in helpers.all_degree_vectors(n):
+    # terms up to n+1 reach the d_1 >= n rejection and the early stop
+    for n in range(1, 10):
+        for terms in helpers.all_degree_vectors(n, top=n + 1):
             seq = DegreeSequence(terms)
             assert is_graphic_eg(seq) == is_graphic_kw(seq), terms
 

@@ -46,6 +46,9 @@ def test_enumeration_counts_frozen():
     assert len(enumerate_graphic_sequences(6)) == 71
     assert len(enumerate_graphic_sequences(7)) == 240
     assert len(enumerate_graphic_sequences(8)) == 871
+    assert len(enumerate_graphic_sequences(9)) == 3148
+    assert len(enumerate_graphic_sequences(10)) == 11655
+    assert len(enumerate_graphic_sequences(11)) == 43332
     assert len(enumerate_graphic_sequences(6, positive_only=False)) == 102
 
 
@@ -171,6 +174,12 @@ def test_json_rendering_shape():
     assert data["sigma_formula"] == 26
     assert len(data["records"]) == 71
     assert data["records"][0]["sequence"] == "5^6"
+
+
+def test_json_rendering_matches_asdict():
+    report = cross_validate(7, use_oracle=True)
+    expected = json.dumps(dataclasses.asdict(report), indent=2) + "\n"
+    assert render_report(report, "json") == expected
 
 
 def test_report_schema_is_pinned():
