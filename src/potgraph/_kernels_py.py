@@ -4,6 +4,14 @@ This module is the reference implementation of the kernel contract; the
 compiled twin ``_kernels_c`` must reproduce it exactly, including the node
 counter, so results and reports never depend on which kernel was selected.
 
+Vertex sets are int bitmasks (bit v is vertex v). A row's candidates are the
+mask ``live`` of vertices with residual degree left, minus ``forbidden[u]``,
+above the last neighbor chosen, walked lowest bit first; the residual test is
+the one pass of ``sequences.is_graphic_eg``. An embedding step's candidates are
+the host vertices of large enough degree, minus those used, ANDed with the
+host rows of the pattern neighbors already placed; the pattern sink builds the
+degree masks once per search, from ``degrees``.
+
 Kernel contract
 ---------------
 
@@ -54,64 +62,77 @@ MAX_SEARCH_VERTICES = 16
 
 
 def _eg_feasible(res: list[int], start: int, n: int) -> bool:
-    """Erdős–Gallai test on the residual degrees res[start:n]."""
-    vals = sorted(res[start:n], reverse=True)
-    m = len(vals)
+    """The one-pass Erdős–Gallai test of ``sequences.is_graphic_eg`` on res[start:n]."""
+    d = sorted(res[start:n], reverse=True)
+    m = len(d)
     if m == 0:
         return True
-    if sum(vals) % 2:
+    if sum(d) % 2 or d[0] >= m:
         return False
-    prefix = 0
+    prefix = tail = 0
+    p = m
     for k in range(1, m + 1):
-        prefix += vals[k - 1]
-        bound = k * (k - 1)
-        for i in range(k, m):
-            bound += vals[i] if vals[i] < k else k
-        if prefix > bound:
+        dk = d[k - 1]
+        if dk < k:
+            break
+        prefix += dk
+        while d[p - 1] < k:
+            p -= 1
+            tail += d[p]
+        if prefix > k * (k - 1) + (p - k) * k + tail:
             return False
     return True
 
 
+def _embedding_steps(
+    host_degrees: Sequence[int], pattern_rows: Sequence[int], order: Sequence[int]
+) -> list[tuple[int, tuple[int, ...]]]:
+    """Per step of ``order``: the host vertices of high enough degree, and the adjacent earlier steps."""
+    steps = []
+    for i, p in enumerate(order):
+        need = pattern_rows[p].bit_count()
+        mask = sum(1 << h for h, d in enumerate(host_degrees) if d >= need)
+        steps.append((mask, tuple(j for j in range(i) if pattern_rows[p] >> order[j] & 1)))
+    return steps
+
+
+def _embed(
+    host_rows: Sequence[int], steps: Sequence[tuple[int, tuple[int, ...]]]
+) -> Optional[list[int]]:
+    """First embedding as the host vertex of each step, or None (lowest bits first)."""
+    pn = len(steps)
+    if pn > len(host_rows):
+        return None
+    image, untried = [0] * pn, [0] * pn  # untried: each step's candidates not yet scanned
+    used = i = 0
+    cand = steps[0][0] if pn else 0
+    while i < pn:
+        if cand:
+            low = cand & -cand
+            untried[i] = cand ^ low
+            used |= low
+            image[i] = low.bit_length() - 1
+            i += 1
+            if i < pn:
+                mask, back = steps[i]
+                cand = mask & ~used
+                for j in back:
+                    cand &= host_rows[image[j]]
+        else:
+            i -= 1
+            if i < 0:
+                return None
+            used ^= 1 << image[i]
+            cand = untried[i]
+    return image
+
+
 def find_embedding(
-    host_rows: Sequence[int],
-    pattern_rows: Sequence[int],
-    order: Sequence[int],
+    host_rows: Sequence[int], pattern_rows: Sequence[int], order: Sequence[int]
 ) -> Optional[tuple[int, ...]]:
-    hn = len(host_rows)
-    pn = len(pattern_rows)
-    if pn > hn:
-        return None
-    hdeg = [row.bit_count() for row in host_rows]
-    pdeg = [row.bit_count() for row in pattern_rows]
-    assign = [-1] * pn
-
-    def rec(idx: int, used: int) -> Optional[tuple[int, ...]]:
-        if idx == pn:
-            return tuple(assign)
-        p = order[idx]
-        # host image must dominate the already-assigned pattern neighbors
-        need = 0
-        nb = pattern_rows[p]
-        while nb:
-            q = (nb & -nb).bit_length() - 1
-            nb &= nb - 1
-            if assign[q] >= 0:
-                need |= 1 << assign[q]
-        for h in range(hn):
-            if used >> h & 1:
-                continue
-            if hdeg[h] < pdeg[p]:
-                continue
-            if host_rows[h] & need != need:
-                continue
-            assign[p] = h
-            found = rec(idx + 1, used | (1 << h))
-            if found is not None:
-                return found
-            assign[p] = -1
-        return None
-
-    return rec(0, 0)
+    steps = _embedding_steps([row.bit_count() for row in host_rows], pattern_rows, order)
+    image = _embed(host_rows, steps)
+    return None if image is None else tuple(h for _, h in sorted(zip(order, image)))
 
 
 class _OutOfBudget(Exception):
@@ -137,70 +158,74 @@ def search(
     res = list(degrees)
     adj = [0] * n
     forb = list(forbidden) if forbidden is not None else [0] * n
-    state = {"visited": 0, "nodes": 0, "witness": None}
+    # the vertices above u that u may use
+    allowed = [((1 << n) - (2 << u)) & ~forb[u] for u in range(n)]
+    live = sum(1 << v for v in range(n) if res[v])
+    steps = None if pattern_rows is None else _embedding_steps(degrees, pattern_rows, pattern_order)
+    visited = nodes = 0
+    witness = None
 
     def on_complete() -> bool:
-        state["visited"] += 1
-        if pattern_rows is not None:
-            if find_embedding(adj, pattern_rows, pattern_order) is not None:
-                state["witness"] = tuple(adj)
-                return True
-            return False
-        if visit is not None:
-            if visit(tuple(adj)):
-                state["witness"] = tuple(adj)
-                return True
-            return False
-        if first_only:
-            state["witness"] = tuple(adj)
-            return True
-        return False
+        nonlocal visited, witness
+        visited += 1
+        if steps is not None:
+            hit = _embed(adj, steps) is not None
+        elif visit is not None:
+            hit = bool(visit(tuple(adj)))
+        else:
+            hit = first_only
+        if hit:
+            witness = tuple(adj)
+        return hit
 
     def rec(u: int) -> bool:
-        state["nodes"] += 1
-        if state["nodes"] > budget:
-            raise _OutOfBudget
-        if u == n:
-            return on_complete()
-        if res[u] == 0:
-            return rec(u + 1)
-        return choose(u, u + 1, res[u])
+        nonlocal nodes
+        while True:
+            nodes += 1
+            if nodes > budget:
+                raise _OutOfBudget
+            if u == n:
+                return on_complete()
+            if res[u]:
+                return choose(u, live & allowed[u], res[u])
+            u += 1
 
-    def choose(u: int, start: int, need: int) -> bool:
-        state["nodes"] += 1
-        if state["nodes"] > budget:
+    def choose(u: int, cand: int, need: int) -> bool:
+        nonlocal nodes, live
+        nodes += 1
+        if nodes > budget:
             raise _OutOfBudget
         if need == 0:
-            if _eg_feasible(res, u + 1, n):
-                return rec(u + 1)
-            return False
-        avail = 0
-        for v in range(start, n):
-            if res[v] > 0 and not forb[u] >> v & 1:
-                avail += 1
+            return _eg_feasible(res, u + 1, n) and rec(u + 1)
+        avail = cand.bit_count()
         if avail < need:
             return False
-        for v in range(start, n):
-            if res[v] <= 0 or forb[u] >> v & 1:
-                continue
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
+        bit_u = 1 << u
+        while True:
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length() - 1
+            adj[u] |= low
+            adj[v] |= bit_u
             res[v] -= 1
-            halted = choose(u, v + 1, need - 1)
+            if not res[v]:
+                live ^= low
+            halted = choose(u, cand, need - 1)
+            if not res[v]:
+                live ^= low
             res[v] += 1
-            adj[u] &= ~(1 << v)
-            adj[v] &= ~(1 << u)
+            adj[u] ^= low
+            adj[v] ^= bit_u
             if halted:
                 return True
             avail -= 1
             if avail < need:
-                break
-        return False
+                return False
 
     if not _eg_feasible(res, 0, n):
         return (0, 0, True, None)
     try:
         halted = rec(0)
     except _OutOfBudget:
-        return (state["visited"], state["nodes"], False, None)
-    return (state["visited"], state["nodes"], not halted, state["witness"])
+        return (visited, nodes, False, None)
+    return (visited, nodes, not halted, witness)

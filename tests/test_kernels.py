@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +16,7 @@ import helpers
 import potgraph
 import potgraph._kernels_py as kpy
 from potgraph import kernels
-from potgraph.graphs import pattern_k6_c5
+from potgraph.graphs import _embedding_order, pattern_k6_c5
 
 try:
     import potgraph._kernels_c as kc
@@ -26,6 +28,50 @@ BIG = 10**9
 
 TRIANGLE_ROWS = (0b110, 0b101, 0b011)
 TRIANGLE_ORDER = (0, 1, 2)
+WHEEL_ROWS = pattern_k6_c5().graph.rows
+WHEEL_ORDER = _embedding_order(WHEEL_ROWS)
+
+# Full search results, (visited, nodes, complete, witness), frozen from the
+# reference kernel as it stood before its bitmask rewrite. Each case is
+# (label, degrees, forbidden, budget, sink, first_only, expected); the sink
+# is "wheel" (the pattern sink with the oracle's order), "third" (a visit
+# sink that halts on its third graph) or None.
+FROZEN_RESULTS = [
+    ("wheel n=7 positive", (5, 4, 4, 4, 3, 3, 3), None, BIG, "wheel", False,
+     (22, 278, False, (62, 77, 83, 99, 37, 25, 14))),
+    ("wheel n=7 negative", (5, 3, 3, 3, 3, 3, 2), None, BIG, "wheel", False,
+     (250, 2830, True, None)),
+    ("wheel n=8 positive", (5, 5, 4, 4, 3, 3, 3, 3), None, BIG, "wheel", False,
+     (200, 2494, False, (62, 205, 83, 163, 37, 25, 134, 74))),
+    ("wheel n=8 negative", (7, 3, 3, 3, 3, 3, 3, 3), None, BIG, "wheel", False,
+     (465, 4995, True, None)),
+    ("wheel n=9 positive", (5, 4, 4, 4, 3, 3, 3, 3, 3), None, BIG, "wheel", False,
+     (656, 9152, False, (62, 77, 147, 291, 37, 25, 386, 324, 200))),
+    ("wheel n=9 negative", (7, 7, 3, 3, 3, 3, 2, 2, 2), None, BIG, "wheel", False,
+     (283, 3391, True, None)),
+    # first_only on the residual and forbidden rows of a wheel placement on
+    # (5,4^3,3^5), which completes, and on (7^2,3^4,2^3), which cannot
+    ("placement found", (0, 1, 1, 1, 0, 0, 3, 3, 3),
+     (62, 37, 11, 21, 41, 19, 0, 0, 0), BIG, None, True,
+     (1, 25, False, (0, 64, 128, 256, 0, 0, 386, 324, 200))),
+    ("placement exhausted", (2, 4, 0, 0, 0, 0, 2, 2, 2),
+     (62, 37, 11, 21, 41, 19, 0, 0, 0), BIG, None, True,
+     (0, 7, True, None)),
+    # count mode: each zero-degree row still costs a node
+    ("zero rows inside", (3, 0, 2, 2, 0, 1, 2, 0), None, BIG, None, False,
+     (6, 78, True, None)),
+    ("zero rows at both ends", (0, 2, 2, 2, 2, 2, 0), None, BIG, None, False,
+     (12, 146, True, None)),
+    ("visit halts on third", (3, 3, 2, 2, 2, 2), None, BIG, "third", False,
+     (3, 43, False, (14, 25, 33, 3, 34, 20))),
+    # (5,3^5) takes 140 nodes; node 6 is a step inside row 0 and node 73 a
+    # step inside row 3
+    ("complete count", (5, 3, 3, 3, 3, 3), None, BIG, None, False, (12, 140, True, None)),
+    ("budget 1", (5, 3, 3, 3, 3, 3), None, 1, None, False, (0, 2, False, None)),
+    ("budget inside row 0", (5, 3, 3, 3, 3, 3), None, 5, None, False, (0, 6, False, None)),
+    ("budget inside row 3", (5, 3, 3, 3, 3, 3), None, 72, None, False, (5, 73, False, None)),
+    ("budget one short", (5, 3, 3, 3, 3, 3), None, 139, None, False, (12, 140, False, None)),
+]
 
 
 def ids(impl):
@@ -35,6 +81,90 @@ def ids(impl):
 @pytest.fixture(params=IMPLS, ids=ids)
 def impl(request):
     return request.param
+
+
+def _halt_on_third():
+    seen = []
+
+    def visit(rows):
+        seen.append(rows)
+        return len(seen) == 3
+
+    return visit
+
+
+@pytest.mark.parametrize(
+    "degrees, forbidden, budget, sink, first_only, expected",
+    [case[1:] for case in FROZEN_RESULTS],
+    ids=[case[0] for case in FROZEN_RESULTS],
+)
+def test_frozen_results(impl, degrees, forbidden, budget, sink, first_only, expected):
+    pattern = order = visit = None
+    if sink == "wheel":
+        pattern, order = WHEEL_ROWS, WHEEL_ORDER
+    elif sink == "third":
+        visit = _halt_on_third()
+    got = impl.search(degrees, forbidden, budget, visit, pattern, order, first_only)
+    assert got == expected
+
+
+def _first_valid_assignment(host, pattern, order):
+    """First host image tuple, in the lexicographic order of images taken
+    along ``order``, that maps every pattern edge onto a host edge."""
+    pn = len(pattern)
+    for images in itertools.permutations(range(len(host)), pn):
+        assign = [0] * pn
+        for p, h in zip(order, images):
+            assign[p] = h
+        if all(
+            host[assign[p]] >> assign[q] & 1
+            for p in range(pn)
+            for q in range(pn)
+            if pattern[p] >> q & 1
+        ):
+            return tuple(assign)
+    return None
+
+
+def _random_rows(rng, n, density):
+    rows = [0] * n
+    for u, v in itertools.combinations(range(n), 2):
+        if rng.random() < density:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    return tuple(rows)
+
+
+def test_find_embedding_returns_first_valid_assignment(impl):
+    rng = random.Random(20081)
+    disconnected = [
+        (0b10, 0b01, 0b1000, 0b0100),  # two disjoint edges
+        (0b0110, 0b0101, 0b0011, 0),  # a triangle and an isolated vertex
+    ]
+    cases = [(_random_rows(rng, 6, 0.7), pattern, (3, 1, 0, 2)) for pattern in disconnected]
+    for _ in range(150):
+        hn, pn = rng.randint(0, 7), rng.randint(0, 5)
+        pattern = _random_rows(rng, pn, rng.choice([0.0, 0.3, 0.6, 1.0]))
+        order = list(range(pn))
+        rng.shuffle(order)
+        cases.append((_random_rows(rng, hn, rng.random()), pattern, tuple(order)))
+    assert any(len(p) > len(h) for h, p, _ in cases)
+    assert any(p and not any(p) for _, p, _ in cases)
+    for host, pattern, order in cases:
+        expected = _first_valid_assignment(host, pattern, order)
+        assert impl.find_embedding(host, pattern, order) == expected, (host, pattern, order)
+
+
+def test_find_embedding_first_wheel(impl):
+    rng = random.Random(6)
+    hosts = [WHEEL_ROWS, tuple(0b1111111 & ~(1 << v) for v in range(7))]
+    hosts += [_random_rows(rng, rng.choice([6, 7]), 0.75) for _ in range(12)]
+    found = 0
+    for host in hosts:
+        expected = _first_valid_assignment(host, WHEEL_ROWS, WHEEL_ORDER)
+        found += expected is not None
+        assert impl.find_embedding(host, WHEEL_ROWS, WHEEL_ORDER) == expected, host
+    assert 2 < found < len(hosts)
 
 
 def test_compiled_kernel_is_available_and_selected():
