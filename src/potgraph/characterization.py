@@ -99,12 +99,13 @@ def decompose_form(seq: DegreeSequence) -> FormDescriptor:
     Raises:
         DomainError: a zero term is present (strip zeros first).
     """
-    if seq.n and seq.terms[-1] == 0:
-        raise DomainError("decomposition needs positive terms; use strip_zeros() first")
     terms = seq.terms
+    n = len(terms)
+    if n and terms[-1] == 0:
+        raise DomainError("decomposition needs positive terms; use strip_zeros() first")
     i, j, k = terms.count(3), terms.count(2), terms.count(1)
     # the terms are non-increasing, so those above 3 come first
-    return FormDescriptor(terms[: seq.n - i - j - k], i, j, k, seq.n)
+    return FormDescriptor(terms[: n - i - j - k], i, j, k, n)
 
 
 def in_exception_set_s(
@@ -145,9 +146,13 @@ COND7_PARAMETRIC: tuple[tuple[int, int], ...] = ((6, 7), (7, 8))
 
 def cond7_parametric_match(seq: DegreeSequence) -> bool:
     """Is seq a member of a clause-(7) parametric family?"""
-    n = seq.n
+    terms = seq.terms
+    n = len(terms)
+    # every member starts (n-1, 3); at n = min_n it has no 1s, so test d2
+    if n < 2 or terms[0] != n - 1 or terms[1] != 3:
+        return False
     return any(
-        n >= min_n and seq.terms == (n - 1,) + (3,) * threes + (1,) * (n - 1 - threes)
+        n >= min_n and terms == (n - 1,) + (3,) * threes + (1,) * (n - 1 - threes)
         for threes, min_n in COND7_PARAMETRIC
     )
 
@@ -167,15 +172,15 @@ def theorem31_decide(
         DomainError: n < 6, zero terms, or seq not graphic.
     """
     cat = catalog or default_catalog()
-    if seq.n < 6:
-        raise DomainError(f"the characterization needs n >= 6, got n={seq.n}")
-    if seq.terms[-1] == 0:
+    d = seq.terms
+    n = len(d)
+    if n < 6:
+        raise DomainError(f"the characterization needs n >= 6, got n={n}")
+    if d[-1] == 0:
         raise DomainError("the characterization needs positive terms; strip zeros first")
     if not is_graphic_eg(seq):
         raise DomainError(f"({seq}) is not graphic")
 
-    d = seq.terms
-    n = seq.n
     form = decompose_form(seq)
     head, i, j = form.head, form.i, form.j
     matched: list[str] = []
@@ -264,7 +269,7 @@ def two_high_parametric_match(seq: DegreeSequence) -> bool:
     shapes has an odd sum.
     """
     t = seq.terms
-    n = seq.n
+    n = len(t)
     if n < 7:
         return False
     tail = (3,) * (n - 2)
@@ -290,14 +295,18 @@ def lemma_family_decide(
         InternalCheckError: overlapping families disagree.
     """
     cat = catalog or default_catalog()
-    if seq.n and seq.terms[-1] == 0:
+    t = seq.terms
+    n = len(t)
+    if n and t[-1] == 0:
         raise DomainError("family decisions need positive terms; strip zeros first")
-    if seq.n < 6:
-        raise DomainError(f"family decisions need n >= 6, got n={seq.n}")
+    if n < 6:
+        raise DomainError(f"family decisions need n >= 6, got n={n}")
     if seq.sigma % 2:
         raise DomainError(f"({seq}) has odd sum, so it is not graphic")
+    # every family below has d1 >= 5
+    if t[0] < 5:
+        return None
 
-    t = seq.terms
     listed = cat.lemma_exceptions
     verdicts: dict[str, bool] = {}
 

@@ -7,10 +7,9 @@ and `DegreeSequence.strip_zeros` is the documented normalization.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, NoReturn
 
 from .errors import DomainError, SequenceParseError
 
@@ -29,6 +28,17 @@ MAX_TERMS = 64
 
 _TERM_RE = re.compile(r"\s*(-?\d+)\s*(?:\^\s*(-?\d+)\s*)?")
 
+_INT_ONLY = frozenset({int})
+
+
+def _reject_terms(terms) -> NoReturn:
+    """Raise for the first term, in input order, that is not a nonnegative int."""
+    for t in terms:
+        if type(t) is not int:
+            raise DomainError(f"degree terms must be integers, got {t!r}")
+        if t < 0:
+            raise DomainError(f"negative degree {t}")
+
 
 @dataclass(frozen=True, order=True, slots=True)
 class DegreeSequence:
@@ -38,17 +48,19 @@ class DegreeSequence:
     sigma: int = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        for t in self.terms:
-            if not isinstance(t, int):
-                raise DomainError(f"degree terms must be integers, got {t!r}")
-            if t < 0:
-                raise DomainError(f"negative degree {t}")
-        if len(self.terms) > MAX_TERMS:
+        raw = self.terms
+        # bool is a subclass of int, but True^2 would not parse back
+        if not _INT_ONLY.issuperset(map(type, raw)):
+            _reject_terms(raw)
+        terms = tuple(sorted(raw, reverse=True))
+        if terms and terms[-1] < 0:
+            _reject_terms(raw)
+        if len(terms) > MAX_TERMS:
             raise DomainError(
-                f"sequence has {len(self.terms)} terms, the supported maximum is {MAX_TERMS}"
+                f"sequence has {len(terms)} terms, the supported maximum is {MAX_TERMS}"
             )
-        object.__setattr__(self, "terms", tuple(sorted(self.terms, reverse=True)))
-        object.__setattr__(self, "sigma", sum(self.terms))
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "sigma", sum(terms))
 
     @property
     def n(self) -> int:
@@ -60,10 +72,15 @@ class DegreeSequence:
 
     def render(self) -> str:
         """Canonical exponent notation, e.g. (5,3,3,3,3,3) -> "5,3^5"."""
+        terms = self.terms
         parts = []
-        for value, group in itertools.groupby(self.terms):
-            count = sum(1 for _ in group)
+        i = 0
+        # the terms are sorted, so each value's count is the length of its run
+        while i < len(terms):
+            value = terms[i]
+            count = terms.count(value)
             parts.append(f"{value}^{count}" if count > 1 else f"{value}")
+            i += count
         return ",".join(parts)
 
     def __str__(self) -> str:
@@ -125,12 +142,15 @@ def parse_sequence(text: str) -> DegreeSequence:
     return DegreeSequence(tuple(terms))
 
 
-def is_graphic_eg(seq: DegreeSequence) -> bool:
+def is_graphic_eg(seq: DegreeSequence | tuple[int, ...]) -> bool:
     """Erdős–Gallai test: is some simple graph's degree sequence equal to seq?
 
     seq is graphic iff its sum is even and for every k in 1..n
     ``sum(d[:k]) <= k(k-1) + sum(min(d_i, k) for i > k)``.
-    The empty sequence is graphic (empty graph).
+    The empty sequence is graphic (empty graph). seq may also be a bare
+    tuple of terms, which must already be what a DegreeSequence stores:
+    nonnegative ints in non-increasing order. Enumeration tests its raw
+    candidates this way and builds a DegreeSequence only for graphic ones.
 
     One O(n) pass. A term d_1 >= n is rejected at once. While d_k >= k, a
     pointer p = #{i : d_i >= k} (so p >= k) splits the right-hand sum into
@@ -139,11 +159,14 @@ def is_graphic_eg(seq: DegreeSequence) -> bool:
     at most k - 1, each step adds 2(k - 1 - d_k) >= 0 to the slack, and no
     later inequality can fail.
     """
-    d = seq.terms
+    if isinstance(seq, tuple):
+        d, sigma = seq, sum(seq)
+    else:
+        d, sigma = seq.terms, seq.sigma
     n = len(d)
     if n == 0:
         return True
-    if seq.sigma % 2 or d[0] >= n:
+    if sigma % 2 or d[0] >= n:
         return False
     prefix = 0
     p = n

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
+import re
 
 import pytest
 
@@ -81,6 +83,24 @@ def test_degree_sequence_invariants():
         seq.terms = (1,)
 
 
+@pytest.mark.parametrize(
+    "terms,message",
+    [
+        ((True, True), "degree terms must be integers, got True"),
+        ((3, False), "degree terms must be integers, got False"),
+        ((2, 1.0), "degree terms must be integers, got 1.0"),
+        ((3, "2"), "degree terms must be integers, got '2'"),
+        # the first bad term in input order is named, whatever its fault
+        ((3, -1, -2), "negative degree -1"),
+        ((-2, 1.0), "negative degree -2"),
+        ((1.0, -2), "degree terms must be integers, got 1.0"),
+    ],
+)
+def test_degree_sequence_rejects_bad_terms(terms, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        DegreeSequence(terms)
+
+
 def test_zero_handling_and_extremes():
     seq = parse_sequence("3,2,1,0^2")
     assert seq.strip_zeros().terms == (3, 2, 1)
@@ -92,6 +112,21 @@ def test_render_exponent_notation():
     assert str(parse_sequence("6,6,3,3,3,3,2,2")) == "6^2,3^4,2^2"
     assert str(parse_sequence("5")) == "5"
     assert str(parse_sequence("4,4,0")) == "4^2,0"
+    assert DegreeSequence(()).render() == ""
+
+
+def _render_by_groupby(terms: tuple[int, ...]) -> str:
+    parts = []
+    for value, group in itertools.groupby(terms):
+        count = len(list(group))
+        parts.append(f"{value}^{count}" if count > 1 else str(value))
+    return ",".join(parts)
+
+
+def test_render_matches_groupby_reference():
+    for n in range(1, 9):
+        for terms in helpers.all_degree_vectors(n, top=9):
+            assert DegreeSequence(terms).render() == _render_by_groupby(terms), terms
 
 
 def test_parse_render_round_trip():
@@ -137,6 +172,8 @@ def test_eg_matches_kw_exhaustively():
         for terms in helpers.all_degree_vectors(n, top=n + 1):
             seq = DegreeSequence(terms)
             assert is_graphic_eg(seq) == is_graphic_kw(seq), terms
+            # the bare terms tuple, as enumeration passes it
+            assert is_graphic_eg(seq.terms) == is_graphic_eg(seq), terms
 
 
 def test_eg_matches_kw_random():

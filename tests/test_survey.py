@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -174,6 +175,43 @@ def test_json_rendering_shape():
     assert data["sigma_formula"] == 26
     assert len(data["records"]) == 71
     assert data["records"][0]["sequence"] == "5^6"
+
+
+# sha256 of the theorem-only reports with runtime zeroed, as (json, csv)
+REPORT_SHA256 = {
+    (6, False): (
+        "9afaec036f1610330c6223e481ea57218490cb9fe13e49c45bdb79273e128d6a",
+        "e8a6ce9411ea73d8264f9b9223f8058f4c6b5d9696bd3681a412562f51869f4c",
+    ),
+    (7, False): (
+        "db461ec5d09ebd19634a47c5490efce9259fc5aeac8b00b7583203f57f6ea84f",
+        "e4d87925e06af14e0ed625894de1356e5c4ca865c0753e8bd71fe7cd63aa42fe",
+    ),
+    (8, False): (
+        "ed548da4ff3ae68011fa3717683a6a756718fe34ef2204bba32c23dfd4d9907d",
+        "d0896e1996641d84f1674df38bf4383fad8b49df59ed81dd4adc1b340ec72f3c",
+    ),
+    (9, False): (
+        "481691458270117167929d14e8736632f855430b6cc17794defbcc52ad80bcb8",
+        "a1e2ba22ca3993c8c65b01ebfdec945b77c3aa25bcb6d7069c92a9e77ace9447",
+    ),
+    (7, True): (
+        "3bc950949b2e71880d63269019f753c277eb808e5ac18e171f491ecffde5762f",
+        "b80e30cb60cea76c38c5ba4d86c0ec99fb3afec2a3f826e74b98184f74d8061d",
+    ),
+}
+
+
+@pytest.mark.filterwarnings("ignore:zero terms stripped")
+@pytest.mark.parametrize("n,allow_zeros", sorted(REPORT_SHA256))
+def test_theorem_only_report_bytes_are_pinned(n, allow_zeros):
+    report = cross_validate(n, use_oracle=False, allow_zeros=allow_zeros)
+    report = dataclasses.replace(report, runtime=0.0)
+    got = tuple(
+        hashlib.sha256(render_report(report, fmt).encode()).hexdigest()
+        for fmt in ("json", "csv")
+    )
+    assert got == REPORT_SHA256[n, allow_zeros]
 
 
 def test_json_rendering_matches_asdict():
