@@ -9,8 +9,10 @@ mask ``live`` of vertices with residual degree left, minus ``forbidden[u]``,
 above the last neighbor chosen, walked lowest bit first; the residual test is
 the one pass of ``sequences.is_graphic_eg``. An embedding step's candidates are
 the host vertices of large enough degree, minus those used, ANDed with the
-host rows of the pattern neighbors already placed; the pattern sink builds the
-degree masks once per search, from ``degrees``.
+host rows of the pattern neighbors already placed. What the steps need from
+the pattern is worked out once per (pattern, order) and kept; a host then
+costs one degree mask per distinct degree the pattern needs, and the pattern
+sink builds those once per search, from ``degrees``.
 
 Kernel contract
 ---------------
@@ -50,6 +52,7 @@ scanning host candidates in increasing index for each pattern vertex taken in
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Optional, Sequence
 
 __all__ = ["IMPLEMENTATION", "MAX_SEARCH_VERTICES", "search", "find_embedding"]
@@ -84,16 +87,37 @@ def _eg_feasible(res: list[int], start: int, n: int) -> bool:
     return True
 
 
+@functools.lru_cache(maxsize=256)
+def _pattern_plan(
+    pattern_rows: tuple[int, ...], order: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[tuple[int, tuple[int, ...]], ...], tuple[int, ...]]:
+    """What the embedding steps of ``order`` need from any host: the distinct
+    degrees needed, each step's degree and adjacent earlier steps, and each
+    pattern vertex's step."""
+    plan = tuple(
+        (pattern_rows[p].bit_count(), tuple(j for j in range(i) if pattern_rows[p] >> order[j] & 1))
+        for i, p in enumerate(order)
+    )
+    step_of = [0] * len(order)
+    for i, p in enumerate(order):
+        step_of[p] = i
+    return tuple({need for need, _ in plan}), plan, tuple(step_of)
+
+
 def _embedding_steps(
     host_degrees: Sequence[int], pattern_rows: Sequence[int], order: Sequence[int]
-) -> list[tuple[int, tuple[int, ...]]]:
-    """Per step of ``order``: the host vertices of high enough degree, and the adjacent earlier steps."""
-    steps = []
-    for i, p in enumerate(order):
-        need = pattern_rows[p].bit_count()
-        mask = sum(1 << h for h, d in enumerate(host_degrees) if d >= need)
-        steps.append((mask, tuple(j for j in range(i) if pattern_rows[p] >> order[j] & 1)))
-    return steps
+) -> tuple[list[tuple[int, tuple[int, ...]]], tuple[int, ...]]:
+    """Per step of ``order``: the host vertices of high enough degree, and the
+    adjacent earlier steps; then each pattern vertex's step."""
+    needs, plan, step_of = _pattern_plan(tuple(pattern_rows), tuple(order))
+    masks = {}
+    for need in needs:
+        mask = 0
+        for h, d in enumerate(host_degrees):
+            if d >= need:
+                mask |= 1 << h
+        masks[need] = mask
+    return [(masks[need], back) for need, back in plan], step_of
 
 
 def _embed(
@@ -130,9 +154,9 @@ def _embed(
 def find_embedding(
     host_rows: Sequence[int], pattern_rows: Sequence[int], order: Sequence[int]
 ) -> Optional[tuple[int, ...]]:
-    steps = _embedding_steps([row.bit_count() for row in host_rows], pattern_rows, order)
+    steps, step_of = _embedding_steps([row.bit_count() for row in host_rows], pattern_rows, order)
     image = _embed(host_rows, steps)
-    return None if image is None else tuple(h for _, h in sorted(zip(order, image)))
+    return None if image is None else tuple([image[i] for i in step_of])
 
 
 class _OutOfBudget(Exception):
@@ -153,15 +177,22 @@ def search(
         raise ValueError(f"search kernel supports at most {MAX_SEARCH_VERTICES} vertices")
     if budget < 1:
         raise ValueError("budget must be positive")
-    if any(d < 0 for d in degrees):
+    if n and min(degrees) < 0:
         raise ValueError("degrees must be nonnegative")
     res = list(degrees)
     adj = [0] * n
-    forb = list(forbidden) if forbidden is not None else [0] * n
     # the vertices above u that u may use
-    allowed = [((1 << n) - (2 << u)) & ~forb[u] for u in range(n)]
-    live = sum(1 << v for v in range(n) if res[v])
-    steps = None if pattern_rows is None else _embedding_steps(degrees, pattern_rows, pattern_order)
+    if forbidden is None:
+        allowed = [(1 << n) - (2 << u) for u in range(n)]
+    else:
+        allowed = [((1 << n) - (2 << u)) & ~forbidden[u] for u in range(n)]
+    live = 0
+    for v in range(n):
+        if res[v]:
+            live |= 1 << v
+    steps = None
+    if pattern_rows is not None:
+        steps = _embedding_steps(degrees, pattern_rows, pattern_order)[0]
     visited = nodes = 0
     witness = None
 

@@ -30,6 +30,50 @@ __all__ = [
 MAX_VERTICES = 64
 
 
+def _is_simple(n: int, rows: tuple[int, ...]) -> bool:
+    """Are rows the adjacency of a simple graph: no bit at or past n, no loop,
+    every edge in both rows?
+
+    Each bit above the diagonal needs its mirror below it, so there are at
+    least as many bits below as above; a total of exactly twice the bits
+    above then leaves none unmatched below and none on the diagonal.
+    """
+    upper = total = 0
+    try:
+        for u, row in enumerate(rows):
+            if row >> n:  # a bit at or past n, or a negative row
+                return False
+            total += row.bit_count()
+            above = row & -(2 << u)
+            upper += above.bit_count()
+            bit_u = 1 << u
+            while above:
+                low = above & -above
+                above ^= low
+                if not rows[low.bit_length() - 1] & bit_u:
+                    return False
+    except TypeError:  # a row that is no int; the full check names it
+        return False
+    return total == 2 * upper
+
+
+def _reject_rows(n: int, rows: tuple[int, ...]) -> None:
+    """Raise for the first fault of rows that ``_is_simple`` refuses."""
+    full = (1 << n) - 1
+    for v, row in enumerate(rows):
+        if row & ~full:
+            raise DomainError(f"row {v} references vertices outside 0..{n - 1}")
+        if row >> v & 1:
+            raise DomainError(f"loop at vertex {v}")
+    for u in range(n):
+        for_v = rows[u]
+        while for_v:
+            v = (for_v & -for_v).bit_length() - 1
+            for_v &= for_v - 1
+            if not rows[v] >> u & 1:
+                raise DomainError(f"asymmetric adjacency between {u} and {v}")
+
+
 @dataclass(frozen=True, slots=True)
 class Graph:
     """Immutable simple graph on vertices 0..n-1."""
@@ -42,19 +86,8 @@ class Graph:
             raise DomainError(f"graph order {self.n} out of range 0..{MAX_VERTICES}")
         if len(self.rows) != self.n:
             raise DomainError(f"expected {self.n} adjacency rows, got {len(self.rows)}")
-        full = (1 << self.n) - 1
-        for v, row in enumerate(self.rows):
-            if row & ~full:
-                raise DomainError(f"row {v} references vertices outside 0..{self.n - 1}")
-            if row >> v & 1:
-                raise DomainError(f"loop at vertex {v}")
-        for u in range(self.n):
-            for_v = self.rows[u]
-            while for_v:
-                v = (for_v & -for_v).bit_length() - 1
-                for_v &= for_v - 1
-                if not self.rows[v] >> u & 1:
-                    raise DomainError(f"asymmetric adjacency between {u} and {v}")
+        if not _is_simple(self.n, self.rows):
+            _reject_rows(self.n, self.rows)
 
     @classmethod
     def empty(cls, n: int) -> "Graph":
@@ -88,7 +121,7 @@ class Graph:
 
     def degrees(self) -> tuple[int, ...]:
         """Degrees in vertex order (not sorted)."""
-        return tuple(row.bit_count() for row in self.rows)
+        return tuple([row.bit_count() for row in self.rows])
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)

@@ -99,7 +99,6 @@ def _wheel() -> tuple[int, tuple[int, ...], tuple[tuple[int, int], ...]]:
     return hub, tuple(rim), edges
 
 
-@functools.cache
 def _bracelets(shape: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """One arrangement per D5 orbit of the rim labels in ``shape``.
 
@@ -115,6 +114,21 @@ def _bracelets(shape: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+@functools.cache
+def _wheel_slots(shape: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Each arrangement of ``_bracelets(shape)`` as the slot of each wheel
+    vertex: 0 for the hub, 1 + j for the j-th rim value of the multiset, the
+    k-th repeat of label L along the rim taking j = L + k."""
+    rim_pos = _wheel()[1]
+    out = []
+    for arr in _bracelets(shape):
+        slots = [0] * (len(rim_pos) + 1)
+        for k, (pos, label) in enumerate(zip(rim_pos, arr)):
+            slots[pos] = 1 + label + arr[:k].count(label)
+        out.append(tuple(slots))
+    return tuple(out)
+
+
 def _placements(degs: tuple[int, ...]):
     """Yield one placement of the wheel per placement class of ``degs``.
 
@@ -126,8 +140,10 @@ def _placements(degs: tuple[int, ...]):
     rim multisets in decreasing order, so that a positive sequence usually
     wins at its first class.
     """
-    hub_pos, rim_pos, _ = _wheel()
-    first = {d: degs.index(d) for d in degs}
+    rim_size = len(_wheel()[1])
+    first: dict[int, int] = {}
+    for i, d in enumerate(degs):
+        first.setdefault(d, i)
     rim_terms = [d for d in degs if d >= 3]
     for hub in first:
         if hub < 5:
@@ -135,20 +151,17 @@ def _placements(degs: tuple[int, ...]):
         pool = list(rim_terms)
         pool.remove(hub)
         seen = set()
-        for chosen in itertools.combinations(pool, len(rim_pos)):
+        for chosen in itertools.combinations(pool, rim_size):
             if chosen in seen:
                 continue
             seen.add(chosen)
-            for arr in _bracelets(tuple(map(chosen.index, chosen))):
-                used = {hub: 1}
-                place = [0] * (len(rim_pos) + 1)
-                place[hub_pos] = first[hub]
-                for pos, i in zip(rim_pos, arr):
-                    value = chosen[i]
-                    k = used.get(value, 0)
-                    used[value] = k + 1
-                    place[pos] = first[value] + k
-                yield place
+            # the host vertex of each slot; chosen is non-increasing, so a
+            # value's repeats are adjacent and take consecutive vertices
+            cells = [first[hub]]
+            for j, value in enumerate(chosen):
+                cells.append(first[value] + j - chosen.index(value) + (value == hub))
+            for slots in _wheel_slots(tuple(map(chosen.index, chosen))):
+                yield [cells[t] for t in slots]
 
 
 def _embed_and_extend(seq: DegreeSequence, budget: int) -> OracleVerdict:
@@ -177,7 +190,7 @@ def _embed_and_extend(seq: DegreeSequence, budget: int) -> OracleVerdict:
         if witness is not None:
             # a row with no wheel edge keeps the kernel's int, so witnesses
             # held by callers share it instead of copying it
-            rows = tuple(w | f if f else w for w, f in zip(witness, forbidden))
+            rows = tuple([w | f if f else w for w, f in zip(witness, forbidden)])
             return OracleVerdict(True, Graph(n, rows), STRATEGY_EMBED, nodes)
         if not complete:
             raise BudgetExceededError(
@@ -207,14 +220,21 @@ def oracle_potentially(
 ) -> OracleVerdict:
     """Exact decision: does some realization of seq contain the wheel?
 
-    Every positive verdict carries a witness that is re-verified here
-    (degree sequence and containment) before being returned.
+    Every positive verdict carries a witness that passes three checks
+    before it is returned:
+
+    1. ``Graph`` accepts the kernel's rows as a simple graph: no vertex out
+       of range, no loop, every edge in both rows;
+    2. its degree sequence equals seq;
+    3. a fresh embedding search, not the placement that was searched,
+       finds the wheel in it.
 
     Raises:
         DomainError: non-graphic, zero terms, n > 12, or a budget outside
-            1..2^63-1.
+            1..2^63-1; also rows from the kernel that are no simple graph
+            (check 1).
         BudgetExceededError: the node budget ran out first.
-        InternalCheckError: a witness failed re-verification.
+        InternalCheckError: a witness failed check 2 or 3.
     """
     _check_domain(seq, budget)
     if strategy == STRATEGY_EMBED:
@@ -225,6 +245,10 @@ def oracle_potentially(
         raise DomainError(f"unknown strategy {strategy!r}; use one of {STRATEGIES}")
     if verdict.potentially:
         witness = verdict.witness
-        if witness is None or degree_sequence_of(witness) != seq or not contains_subgraph(witness, pattern_k6_c5()):
+        if (
+            witness is None
+            or degree_sequence_of(witness) != seq
+            or not contains_subgraph(witness, pattern_k6_c5())
+        ):
             raise InternalCheckError(f"witness failed re-verification for ({seq})")
     return verdict

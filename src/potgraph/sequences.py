@@ -31,6 +31,11 @@ _TERM_RE = re.compile(r"\s*(-?\d+)\s*(?:\^\s*(-?\d+)\s*)?")
 _INT_ONLY = frozenset({int})
 
 
+def _span(start: int, end: int) -> str:
+    """How parse errors name the characters of the offending term."""
+    return f"characters {start}..{end}"
+
+
 def _reject_terms(terms) -> NoReturn:
     """Raise for the first term, in input order, that is not a nonnegative int."""
     for t in terms:
@@ -117,26 +122,31 @@ def parse_sequence(text: str) -> DegreeSequence:
     for chunk in text.split(","):
         start, end = pos, pos + len(chunk)
         pos = end + 1
-        span = f"characters {start}..{end}"
         match = _TERM_RE.fullmatch(chunk)
         if match is None:
             raise SequenceParseError(
-                f"malformed term {chunk.strip()!r} at {span}", text, start, end
+                f"malformed term {chunk.strip()!r} at {_span(start, end)}", text, start, end
             )
+        base_text, exponent_text = match.groups()
         try:
-            base = int(match.group(1))
-            exponent = int(match.group(2)) if match.group(2) is not None else 1
+            base = int(base_text)
+            exponent = 1 if exponent_text is None else int(exponent_text)
         except ValueError:  # past the interpreter's int-conversion digit limit
             raise SequenceParseError(
-                f"number too long at {span}", text, start, end
+                f"number too long at {_span(start, end)}", text, start, end
             ) from None
         if base < 0:
-            raise DomainError(f"negative degree {base} at {span}")
+            raise DomainError(f"negative degree {base} at {_span(start, end)}")
+        if exponent == 1 and len(terms) < MAX_TERMS:
+            terms.append(base)
+            continue
         if exponent < 1:
-            raise DomainError(f"exponent {exponent} at {span}; exponents must be >= 1")
+            raise DomainError(
+                f"exponent {exponent} at {_span(start, end)}; exponents must be >= 1"
+            )
         if len(terms) + exponent > MAX_TERMS:
             raise DomainError(
-                f"sequence expands past {MAX_TERMS} terms at {span}"
+                f"sequence expands past {MAX_TERMS} terms at {_span(start, end)}"
             )
         terms.extend([base] * exponent)
     return DegreeSequence(tuple(terms))

@@ -9,10 +9,12 @@ import csv
 import io
 import itertools
 import json
+import operator
 import os
 import time
 import warnings
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from .catalogs import ExceptionCatalog, default_catalog
@@ -244,13 +246,61 @@ _CELL_PARSERS = {
 }
 
 
+_BOOL_JSON = {True: "true", False: "false"}
+_OPTIONAL_BOOL_JSON = {None: "null", **_BOOL_JSON}
+
+# one scalar in JSON text, as json.dumps writes it, keyed by the field
+# annotations of SurveyReport and SurveyRecord
+_JSON_SCALARS = {
+    "str": encode_basestring_ascii,
+    "int": int.__repr__,
+    "float": json.dumps,
+    "bool": _BOOL_JSON.__getitem__,
+    "Optional[int]": lambda value: "null" if value is None else int.__repr__(value),
+    "Optional[str]": lambda value: "null" if value is None else encode_basestring_ascii(value),
+    "Optional[bool]": _OPTIONAL_BOOL_JSON.__getitem__,
+}
+
+
+def _json_records(records: tuple[SurveyRecord, ...]) -> str:
+    """A record list as ``json.dumps`` with ``indent=2`` writes it inside the report."""
+    if not records:
+        return "[]"
+    columns = fields(SurveyRecord)
+    template = (
+        "    {\n"
+        + ",\n".join(f"      {encode_basestring_ascii(c.name)}: %s" for c in columns)
+        + "\n    }"
+    )
+    # column by column, so that the loops run in C
+    texts = [
+        map(_JSON_SCALARS[column.type], map(operator.attrgetter(column.name), records))
+        for column in columns
+    ]
+    body = ",\n".join(map(template.__mod__, zip(*texts)))
+    return f"[\n{body}\n  ]"
+
+
+def _render_json(report: SurveyReport) -> str:
+    """The bytes of ``json.dumps(asdict(report), indent=2)`` plus a newline,
+    written field by field: the generic encoder runs in pure Python when
+    indenting, and took seconds on the 162,769 records at n = 12."""
+    parts = []
+    for field in fields(report):
+        value = getattr(report, field.name)
+        if isinstance(value, tuple):
+            text = _json_records(value)
+        else:
+            text = _JSON_SCALARS[field.type](value)
+        parts.append(f"  {encode_basestring_ascii(field.name)}: {text}")
+    return "{\n" + ",\n".join(parts) + "\n}\n"
+
+
 def render_report(report: SurveyReport, format: str = "json") -> str:
     """Serialize a report; field order is fixed, so output is reproducible
     byte for byte apart from the runtime value."""
     if format == "json":
-        # the report and record classes have no __slots__, so vars() gives
-        # their fields in declaration order, as asdict would
-        return json.dumps(report, indent=2, default=vars) + "\n"
+        return _render_json(report)
     if format == "csv":
         buf = io.StringIO()
         # the scalar report fields, in declaration order, head the file

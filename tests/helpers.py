@@ -122,3 +122,29 @@ def independent_contains_wheel(rows: tuple[int, ...]) -> bool:
             if all(rows[image[u]] >> image[v] & 1 for u, v in WHEEL_EDGES):
                 return True
     return False
+
+
+def graph_rows_fault(n: int, rows: tuple[int, ...]) -> Optional[str]:
+    """The message ``Graph(n, rows)`` must raise, or None if it must accept.
+
+    The constructor's validation loop kept as it stood before it became a
+    single pass, with each ``raise DomainError(...)`` turned into a return.
+    """
+    if not 0 <= n <= 64:
+        return f"graph order {n} out of range 0..64"
+    if len(rows) != n:
+        return f"expected {n} adjacency rows, got {len(rows)}"
+    full = (1 << n) - 1
+    for v, row in enumerate(rows):
+        if row & ~full:
+            return f"row {v} references vertices outside 0..{n - 1}"
+        if row >> v & 1:
+            return f"loop at vertex {v}"
+    for u in range(n):
+        for_v = rows[u]
+        while for_v:
+            v = (for_v & -for_v).bit_length() - 1
+            for_v &= for_v - 1
+            if not rows[v] >> u & 1:
+                return f"asymmetric adjacency between {u} and {v}"
+    return None

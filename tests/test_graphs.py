@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import collections
+import itertools
+import random
+
 import pytest
 
 import helpers
@@ -30,6 +34,57 @@ def test_constructor_validates():
         Graph(-1, ())
     with pytest.raises(DomainError):
         Graph(65, (0,) * 65)
+
+
+def _rows_with_faults(rng: random.Random) -> tuple[int, tuple[int, ...]]:
+    """A random simple graph's rows with zero to two faults injected."""
+    n = rng.randint(0, 10)
+    rows = [0] * n
+    for u, v in itertools.combinations(range(n), 2):
+        if rng.random() < 0.4:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    for _ in range(rng.choice((0, 1, 1, 2))):
+        fault = rng.choice(("loop", "unmatched", "out of range", "negative", "short", "long"))
+        if fault == "short":
+            rows = rows[:-1]
+        elif fault == "long":
+            rows.append(rng.choice((0, 1)))
+        elif not rows:
+            continue
+        elif fault == "loop":
+            v = rng.randrange(len(rows))
+            rows[v] |= 1 << v
+        elif fault == "unmatched" and len(rows) >= 2:
+            u, v = rng.sample(range(len(rows)), 2)
+            rows[u] ^= 1 << v  # drops an edge's one half, or adds a lone half
+        elif fault == "out of range":
+            rows[rng.randrange(len(rows))] |= 1 << rng.randint(n, 70)
+        elif fault == "negative":
+            v = rng.randrange(len(rows))
+            rows[v] = rng.choice((-1, -rows[v] - 1, -(1 << rng.randrange(len(rows)))))
+    return n, tuple(rows)
+
+
+def test_validation_matches_reference_loop():
+    """The one-pass validation accepts exactly what the old loop accepted,
+    and raises its message for the first fault it names."""
+    rng = random.Random(20080)
+    kinds = collections.Counter()
+    for _ in range(4000):
+        n, rows = _rows_with_faults(rng)
+        expected = helpers.graph_rows_fault(n, rows)
+        if expected is None:
+            assert Graph(n, rows).rows == rows
+            kinds["valid"] += 1
+            continue
+        with pytest.raises(DomainError) as info:
+            Graph(n, rows)
+        assert str(info.value) == expected, (n, rows)
+        kinds[expected.split()[0]] += 1
+    # valid, wrong row count, out of range (negative rows too), loop, asymmetric
+    assert set(kinds) == {"valid", "expected", "row", "loop", "asymmetric"}
+    assert min(kinds.values()) >= 100, kinds
 
 
 def test_basic_constructors():

@@ -167,6 +167,43 @@ def test_find_embedding_first_wheel(impl):
     assert 2 < found < len(hosts)
 
 
+def test_find_embedding_across_patterns_and_orders(impl):
+    """Per-pattern embedding set-up must be told apart by pattern and by
+    order: two patterns in alternation on one host, one pattern under two
+    orders, and a 16-vertex pattern all match the permutation reference."""
+    rng = random.Random(20082)
+    path = (0b0010, 0b0101, 0b1010, 0b0100)
+    star = (0b1110, 0b0001, 0b0001, 0b0001)
+    hosts = [_random_rows(rng, 7, rng.choice((0.15, 0.3, 0.5))) for _ in range(30)]
+    calls = []
+    for host in hosts:
+        calls += [(host, path, (0, 1, 2, 3)), (host, star, (0, 1, 2, 3))]
+        calls += [(host, path, (1, 2, 0, 3)), (host, path, (3, 0, 2, 1))]
+    for host, pattern, order in calls:
+        expected = _first_valid_assignment(host, pattern, order)
+        assert impl.find_embedding(host, pattern, order) == expected, (host, pattern, order)
+    found = [_first_valid_assignment(h, p, o) is not None for h, p, o in calls]
+    assert any(found) and not all(found)
+
+    # 16 vertices: a path with chords; the host relabels 12 and 15, so the
+    # first permutations fail and one of the first 24 fits
+    big = [0] * 16
+    for u, v in [(v, v + 1) for v in range(15)] + [(0, 5), (3, 12), (7, 15), (2, 9)]:
+        big[u] |= 1 << v
+        big[v] |= 1 << u
+    swap = {12: 15, 15: 12}
+    host = [0] * 16
+    for u in range(16):
+        for v in range(16):
+            if big[u] >> v & 1:
+                host[swap.get(u, u)] |= 1 << swap.get(v, v)
+    big, host = tuple(big), tuple(host)
+    for order in (tuple(range(16)), tuple(range(12)) + (15, 14, 13, 12)):
+        expected = _first_valid_assignment(host, big, order)
+        assert expected is not None
+        assert impl.find_embedding(host, big, order) == expected, order
+
+
 def test_compiled_kernel_is_available_and_selected():
     if kc is None:
         pytest.skip("compiled kernel not built")

@@ -7,10 +7,17 @@ import itertools
 import pytest
 
 import helpers
+import potgraph._kernels_py as kpy
 import potgraph.oracle as oracle_mod
 from potgraph.errors import BudgetExceededError, DomainError, InternalCheckError
 from potgraph.graphs import Graph, contains_subgraph, degree_sequence_of, pattern_k6_c5
-from potgraph.oracle import STRATEGIES, STRATEGY_EMBED, OracleVerdict, oracle_potentially
+from potgraph.oracle import (
+    STRATEGIES,
+    STRATEGY_EMBED,
+    STRATEGY_FULL,
+    OracleVerdict,
+    oracle_potentially,
+)
 from potgraph.sequences import parse_sequence
 from potgraph.survey import cross_validate, enumerate_graphic_sequences, sigma_empirical
 
@@ -94,6 +101,67 @@ def test_witness_reverification_guard(monkeypatch):
     monkeypatch.setattr(oracle_mod, "_embed_and_extend", lying_embed)
     with pytest.raises(InternalCheckError):
         oracle_potentially(seq)
+
+
+STRATEGY_FUNCTIONS = {STRATEGY_EMBED: "_embed_and_extend", STRATEGY_FULL: "_full_enumeration"}
+
+
+def _realization_without_wheel(terms):
+    """The first labeled realization of terms that has no wheel."""
+    def no_wheel(rows):
+        return not helpers.independent_contains_wheel(rows)
+
+    return kpy.search(terms, None, 10**9, no_wheel, None, None, False)[3]
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_witness_without_wheel_is_refused(strategy, monkeypatch):
+    """A witness of the right degree sequence but with no wheel is caught."""
+    seq = parse_sequence("6,3^6,2^2")
+    rows = _realization_without_wheel(seq.terms)
+    assert rows is not None and degree_sequence_of(Graph(seq.n, rows)) == seq
+
+    def lying(s, budget):
+        return OracleVerdict(True, Graph(seq.n, rows), strategy, 1)
+
+    monkeypatch.setattr(oracle_mod, STRATEGY_FUNCTIONS[strategy], lying)
+    with pytest.raises(InternalCheckError):
+        oracle_potentially(seq, strategy=strategy)
+
+
+def _drop_first_bit(rows):
+    """Rows with the lowest bit of the first nonempty row cleared, so that
+    edge is left in one row only."""
+    u = next(u for u, row in enumerate(rows) if row)
+    return rows[:u] + (rows[u] & rows[u] - 1,) + rows[u + 1:]
+
+
+def _add_loop(rows):
+    return (rows[0] | 1,) + rows[1:]
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("corrupt", [_drop_first_bit, _add_loop], ids=["asymmetric", "loop"])
+def test_corrupt_kernel_witness_is_refused(strategy, corrupt, monkeypatch):
+    """Rows that are no simple graph fail the Graph check, with the message
+    the old validation loop gave, before any other check sees them."""
+    seq = parse_sequence("6,3^6,2^2")
+    real_search = oracle_mod.kernels.search
+    built = []
+
+    def corrupting_search(*args):
+        visited, nodes, complete, witness = real_search(*args)
+        if witness is not None:
+            witness = corrupt(witness)
+            forbidden = args[1] or [0] * len(witness)
+            built.append(tuple(w | f for w, f in zip(witness, forbidden)))
+        return visited, nodes, complete, witness
+
+    monkeypatch.setattr(oracle_mod.kernels, "search", corrupting_search)
+    with pytest.raises(DomainError) as info:
+        oracle_potentially(seq, strategy=strategy)
+    expected = helpers.graph_rows_fault(seq.n, built[-1])
+    assert expected is not None and str(info.value) == expected
 
 
 def test_sigma_empirical_base():

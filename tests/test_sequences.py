@@ -70,6 +70,71 @@ def test_parse_domain_limits():
     assert parse_sequence(f"1^{MAX_TERMS}").n == MAX_TERMS
 
 
+# every parse error with its exact message, and for SequenceParseError its
+# span, as (text, error type, message, (start, end) or None)
+PARSE_ERRORS = [
+    pytest.param("", DomainError, "empty degree-sequence text", None, id="empty"),
+    pytest.param("   ", DomainError, "empty degree-sequence text", None, id="blank"),
+    pytest.param(
+        "5,,3", SequenceParseError, "malformed term '' at characters 2..2", (2, 2),
+        id="empty-term",
+    ),
+    pytest.param(
+        "5, x^2 ,3", SequenceParseError, "malformed term 'x^2' at characters 2..7", (2, 7),
+        id="bad-term",
+    ),
+    pytest.param(
+        "3^^2", SequenceParseError, "malformed term '3^^2' at characters 0..4", (0, 4),
+        id="double-caret",
+    ),
+    pytest.param(
+        "5,9" + "9" * 4999, SequenceParseError, "number too long at characters 2..5002",
+        (2, 5002), id="long-base",
+    ),
+    pytest.param(
+        "3^" + "9" * 5000, SequenceParseError, "number too long at characters 0..5002",
+        (0, 5002), id="long-exponent",
+    ),
+    pytest.param(
+        "5, -3", DomainError, "negative degree -3 at characters 2..5", None, id="negative"
+    ),
+    pytest.param(
+        "3^0", DomainError, "exponent 0 at characters 0..3; exponents must be >= 1", None,
+        id="exponent-0",
+    ),
+    pytest.param(
+        "4, 3 ^ -2", DomainError, "exponent -2 at characters 2..9; exponents must be >= 1",
+        None, id="exponent-negative",
+    ),
+    pytest.param(
+        "1^65", DomainError, "sequence expands past 64 terms at characters 0..4", None,
+        id="past-64-one-term",
+    ),
+    pytest.param(
+        "2^60,1^4, 1", DomainError, "sequence expands past 64 terms at characters 9..11",
+        None, id="past-64-last-term",
+    ),
+    pytest.param(
+        ",".join(["1"] * 65), DomainError,
+        "sequence expands past 64 terms at characters 128..129", None, id="past-64-singles",
+    ),
+    pytest.param(
+        "1,2,3^62,7^2", DomainError, "sequence expands past 64 terms at characters 9..12",
+        None, id="past-64-middle-term",
+    ),
+]
+
+
+@pytest.mark.parametrize("text, error, message, span", PARSE_ERRORS)
+def test_parse_error_messages_are_pinned(text, error, message, span):
+    with pytest.raises(error) as info:
+        parse_sequence(text)
+    assert type(info.value) is error
+    assert str(info.value) == message
+    if span is not None:
+        assert (info.value.text, info.value.start, info.value.end) == (text, *span)
+
+
 def test_degree_sequence_invariants():
     seq = DegreeSequence((3, 1, 2))
     assert seq.terms == (3, 2, 1)

@@ -18,6 +18,8 @@ import potgraph
 from potgraph.catalogs import load_catalog
 from potgraph.errors import DomainError
 from potgraph.survey import (
+    SurveyRecord,
+    SurveyReport,
     cross_validate,
     enumerate_graphic_sequences,
     parse_survey_csv,
@@ -218,6 +220,33 @@ def test_json_rendering_matches_asdict():
     report = cross_validate(7, use_oracle=True)
     expected = json.dumps(dataclasses.asdict(report), indent=2) + "\n"
     assert render_report(report, "json") == expected
+
+
+def test_json_rendering_matches_asdict_with_discrepancies():
+    """Every field type in every state: discrepancies present, None and
+    non-ASCII or escaped strings, a float runtime."""
+    records = (
+        SurveyRecord("5,3^5", 6, 18, True, None, True, None, True),
+        SurveyRecord("6,3^6", 7, 24, True, "7-fixed", False, False, False),
+        SurveyRecord('x"\\\u00e9\n\u2603', 0, -1, False, "cl\u00e4use\t\"1\"", None, True, False),
+        SurveyRecord("", 12, 0, None, "", None, None, True),
+    )
+    report = SurveyReport(
+        n=7,
+        total_sequences=4,
+        potential_count=2,
+        discrepancies=records[1:3],
+        sigma_empirical=None,
+        sigma_formula=32,
+        catalog_checksum="sha256:\u00fc",
+        runtime=1234.5678,
+        records=records,
+    )
+    for item in (report, dataclasses.replace(report, sigma_empirical=26, runtime=0.1)):
+        expected = json.dumps(dataclasses.asdict(item), indent=2) + "\n"
+        assert render_report(item, "json") == expected
+    empty = dataclasses.replace(report, discrepancies=(), records=(), runtime=0.0)
+    assert render_report(empty, "json") == json.dumps(dataclasses.asdict(empty), indent=2) + "\n"
 
 
 def test_report_schema_is_pinned():
